@@ -11,7 +11,6 @@ from orric import (
     ProfileSet,
     Trace,
     compute_weights,
-    history_states,
     make_model,
     offline_optimal,
     run_policy,
@@ -38,8 +37,11 @@ print(f"{'offline optimum':>22}: decisions [{picks}]  total {oracle.total:.4f}")
 print()
 
 print("accuracy trajectory under the optimum (z = volume-weighted gain so far):")
-for t, state in enumerate(history_states(oracle.decisions, trace, profiles), 1):
-    print(f"  after slot {t}: z={state.z:.2f}, d_sum={state.d_sum:.0f}, f={model.eval(state.z / state.d_sum):.4f}")
+z = d_sum = 0.0
+for t, dec in enumerate(oracle.decisions, 1):
+    z += trace.d[t - 1] * profiles.retrain[dec.retrain_index - 1].gain
+    d_sum += trace.d[t - 1]
+    print(f"  after slot {t}: z={z:.2f}, d_sum={d_sum:.0f}, f={model.eval(z / d_sum):.4f}")
 print()
 print("the optimum retrains in slot 1 despite the weaker slot-1 inference,")
 print("because the improved accuracy scores the whole of slot 2; the online")

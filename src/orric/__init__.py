@@ -23,12 +23,10 @@ from .analysis import CRBounds, bounds_report, build_io_tight_instance, compute_
 from .engine import (
     MixturePoint,
     RunResult,
-    RunState,
     Trace,
     WitnessReport,
     ensure_feasible,
     evaluate_objective,
-    history_states,
     mixture_gap,
     nonconvexity_witness,
     offline_optimal,

@@ -18,6 +18,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .atomic import write_atomic
+
 __all__ = [
     "FAMILIES",
     "AccuracyModel",
@@ -229,4 +231,4 @@ def load_model(path) -> AccuracyModel:
 
 
 def save_model(path, model: AccuracyModel) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_atomic(path, json.dumps(model_to_dict(model), indent=2) + "\n")

@@ -1,0 +1,27 @@
+"""Atomic file output shared by every writer in the package."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+from pathlib import Path
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace path with text: readers see the old file or the new one, never a part.
+
+    The temporary file has a unique name in the target directory, so
+    concurrent writers never share one; on failure it is removed and the
+    old file is left as it was. Nothing is synced to disk (atomic, not durable).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from .accuracy import load_model, save_model
 from .analysis import bounds_report
+from .atomic import write_atomic
 from .engine import (
-    Trace,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
@@ -27,7 +26,7 @@ from .engine import (
     write_trace_csv,
 )
 from .errors import CapExceededError, InfeasibleError
-from .policies import KNOWLEDGE_DISTILLATION, POLICIES, compute_weights
+from .policies import KNOWLEDGE_DISTILLATION, POLICIES, weight_schedule
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
@@ -64,22 +63,16 @@ def _rounded(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _write_schedule_csv(path: Path, trace, model, profiles) -> None:
     lines = ["t,v,w,lambda"]
-    for t in range(1, trace.horizon + 1):
-        weights = compute_weights(t, trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    schedule = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    for t, weights in enumerate(schedule, 1):
         lines.append(f"{t},{_fmt(weights.v)},{_fmt(weights.w)},{_fmt(weights.lam)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -92,7 +85,8 @@ def _parse_policies(text: str) -> list[str]:
     return names
 
 
-def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> dict:
+def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> None:
+    """Run the policies and the oracle, write every artefact and print the totals."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"inputs": inputs, "policies": {}}
     totals: dict[str, float] = {}
@@ -133,7 +127,10 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
     except ValueError as exc:
         summary["bounds"] = {"skipped": str(exc)}
     _write_json(out_dir / "summary.json", summary)
-    return summary
+    for name in policies:
+        print(f"{name}: {_fmt(totals[name])}")
+    oracle = summary["oracle"]
+    print(f"oracle: {_fmt(oracle['total'])}" if "total" in oracle else f"oracle skipped: {oracle['skipped']}")
 
 
 def _trace_spec_from_args(args) -> TraceSpec:
@@ -189,61 +186,28 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _replay_inputs(args, corruption: str):
-    overrides = {"horizon": args.T, "seed": args.seed}
-    if getattr(args, "kappa", None) is not None:
-        overrides["train_cost_multiplier"] = args.kappa
-    if getattr(args, "f_at_max", None) is not None:
-        overrides["f_at_max"] = args.f_at_max
-    spec = ReplaySpec(corruption=corruption, **{k: v for k, v in overrides.items() if v is not None})
-    profiles, model, trace_spec = build_replay(spec)
-    trace = generate_trace(trace_spec, profiles)
-    return spec, profiles, model, trace
-
-
-def _write_replay_artifacts(out_dir: Path, profiles, model, trace) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_profiles(out_dir / "profiles.json", profiles)
-    save_model(out_dir / "model.json", model)
-    write_trace_csv(out_dir / "trace.csv", trace)
-
-
 def cmd_run(args) -> int:
     policies = _parse_policies(args.policies)
     out_dir = Path(args.out)
-    if args.replay is not None:
-        spec, profiles, model, trace = _replay_inputs(args, args.replay)
-        _write_replay_artifacts(out_dir, profiles, model, trace)
-        inputs = {"replay": dataclasses.asdict(spec), "policies": policies, "oracle_cap": args.oracle_cap}
+    profiles = load_profiles(args.profiles)
+    model = load_model(args.model)
+    if args.trace is not None:
+        trace = read_trace_csv(args.trace, d_min=args.d_min, d_max=args.d_max)
+        trace_input = {"trace": args.trace}
     else:
-        if not args.profiles or not args.model:
-            raise ValueError("need --profiles and --model (or --replay)")
-        profiles = load_profiles(args.profiles)
-        model = load_model(args.model)
-        if args.trace is not None:
-            trace = read_trace_csv(args.trace, d_min=args.d_min, d_max=args.d_max)
-            trace_input = {"trace": args.trace}
-        else:
-            spec = _trace_spec_from_args(args)
-            trace = generate_trace(spec, profiles)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(out_dir / "trace.csv", trace)
-            trace_input = {"trace_spec": dataclasses.asdict(spec)}
-        inputs = {
-            "profiles": str(args.profiles),
-            "model": str(args.model),
-            "policies": policies,
-            "oracle_cap": args.oracle_cap,
-            **trace_input,
-        }
-    summary = _execute_run(out_dir, profiles, model, trace, policies, args.oracle_cap, inputs)
-    for name in policies:
-        print(f"{name}: {_fmt(summary['policies'][name]['total'])}")
-    oracle = summary["oracle"]
-    if "total" in oracle:
-        print(f"oracle: {_fmt(oracle['total'])}")
-    else:
-        print(f"oracle skipped: {oracle['skipped']}")
+        spec = _trace_spec_from_args(args)
+        trace = generate_trace(spec, profiles)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(out_dir / "trace.csv", trace)
+        trace_input = {"trace_spec": dataclasses.asdict(spec)}
+    inputs = {
+        "profiles": str(args.profiles),
+        "model": str(args.model),
+        "policies": policies,
+        "oracle_cap": args.oracle_cap,
+        **trace_input,
+    }
+    _execute_run(out_dir, profiles, model, trace, policies, args.oracle_cap, inputs)
     return 0
 
 
@@ -266,7 +230,7 @@ def cmd_bounds(args) -> int:
         report["crossover_horizon"] = "undefined"
     text = json.dumps(_rounded(report), indent=2, sort_keys=True)
     if args.out:
-        _write_text(Path(args.out), text + "\n")
+        write_atomic(args.out, text + "\n")
     print(text)
     return 0
 
@@ -274,28 +238,22 @@ def cmd_bounds(args) -> int:
 def cmd_replay(args) -> int:
     if args.spec is not None:
         spec = load_replay_spec(args.spec)
-        if args.T is not None:
-            spec = dataclasses.replace(spec, horizon=args.T)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-        profiles, model, trace_spec = build_replay(spec)
-        trace = generate_trace(trace_spec, profiles)
+    elif args.corruption is not None:
+        spec = ReplaySpec(corruption=args.corruption)
     else:
-        if args.corruption is None:
-            raise ValueError("need a corruption name or --spec")
-        spec, profiles, model, trace = _replay_inputs(args, args.corruption)
+        raise ValueError("need a corruption name or --spec")
+    overrides = {"horizon": args.T, "seed": args.seed, "train_cost_multiplier": args.kappa, "f_at_max": args.f_at_max}
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    profiles, model, trace_spec = build_replay(spec)
+    trace = generate_trace(trace_spec, profiles)
     policies = _parse_policies(args.policies)
     out_dir = Path(args.out)
-    _write_replay_artifacts(out_dir, profiles, model, trace)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_profiles(out_dir / "profiles.json", profiles)
+    save_model(out_dir / "model.json", model)
+    write_trace_csv(out_dir / "trace.csv", trace)
     inputs = {"replay": dataclasses.asdict(spec), "policies": policies, "oracle_cap": args.oracle_cap}
-    summary = _execute_run(out_dir, profiles, model, trace, policies, args.oracle_cap, inputs)
-    for name in policies:
-        print(f"{name}: {_fmt(summary['policies'][name]['total'])}")
-    oracle = summary["oracle"]
-    if "total" in oracle:
-        print(f"oracle: {_fmt(oracle['total'])}")
-    else:
-        print(f"oracle skipped: {oracle['skipped']}")
+    _execute_run(out_dir, profiles, model, trace, policies, args.oracle_cap, inputs)
     return 0
 
 
@@ -308,7 +266,7 @@ def cmd_witness(args) -> int:
     }
     text = json.dumps(_rounded(payload), indent=2, sort_keys=True)
     if args.out:
-        _write_text(Path(args.out), text + "\n")
+        write_atomic(args.out, text + "\n")
     print(text)
     if not report.complete:
         print("note: no witness for at least one sign (gap may be identically zero)", file=sys.stderr)
@@ -333,16 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("run", help="run policies over a trace and write per-slot CSVs plus a summary")
-    p.add_argument("--profiles", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--trace", default=None, help="trace CSV (alternative to law flags or --replay)")
+    p.add_argument("--profiles", required=True)
+    p.add_argument("--model", required=True)
+    p.add_argument("--trace", default=None, help="trace CSV (alternative to the law flags)")
     p.add_argument("--d-min", type=float, default=None, help="declared volume lower bound for a loaded trace")
     p.add_argument("--d-max", type=float, default=None, help="declared volume upper bound for a loaded trace")
     _add_trace_law_flags(p)
-    p.add_argument("--replay", default=None, metavar="CORRUPTION",
-                   help="build the replay scenario instead of loading inputs")
-    p.add_argument("--kappa", type=float, default=None, help="replay train cost multiplier")
-    p.add_argument("--f-at-max", type=float, default=None, help="replay curve ceiling override")
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
     p.add_argument("--oracle-cap", type=int, default=10_000_000,
                    help="max retraining sequences to enumerate; 0 disables the oracle")

@@ -14,32 +14,29 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .accuracy import AccuracyModel
+from .atomic import write_atomic
 from .errors import CapExceededError, InfeasibleError
 from .policies import (
-    HEURISTICS,
     KNOWLEDGE_DISTILLATION,
     ORRIC,
-    POLICIES,
     Decision,
     DecisionSequence,
-    compute_weights,
-    heuristic_step,
-    orric_step,
+    fit_table,
+    table_decisions,
+    weight_schedule,
 )
 from .profiles import ProfileSet
 
 __all__ = [
     "Trace",
-    "RunState",
     "RunResult",
     "ensure_feasible",
     "evaluate_objective",
-    "history_states",
     "run_policy",
     "offline_optimal",
     "mixture_gap",
@@ -102,18 +99,6 @@ class Trace:
 
 
 @dataclass(frozen=True)
-class RunState:
-    """Cumulative volume-weighted retraining gain z and cumulative volume."""
-
-    z: float = 0.0
-    d_sum: float = 0.0
-
-    @property
-    def average_gain(self) -> float:
-        return 0.0 if self.d_sum == 0.0 else self.z / self.d_sum
-
-
-@dataclass(frozen=True)
 class RunResult:
     """A scored decision sequence."""
 
@@ -127,13 +112,7 @@ class RunResult:
 
 def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
     """Every slot must afford at least the cheapest inference configuration."""
-    floor = profiles.min_infer_cost
-    for t in range(trace.horizon):
-        if trace.c[t] < trace.d[t] * floor:
-            raise InfeasibleError(
-                f"slot {t + 1}: capacity {trace.c[t]} cannot cover the cheapest "
-                f"inference configuration ({trace.d[t]} * {floor})"
-            )
+    fit_table(trace.d, trace.c, profiles)
 
 
 def _check_domain(profiles: ProfileSet, model: AccuracyModel) -> None:
@@ -156,7 +135,8 @@ def evaluate_objective(
     _check_domain(profiles, model)
     z = _CompensatedSum()
     d_sum = _CompensatedSum()
-    perfs: list[float] = []
+    xs: list[float] = []
+    profits: list[float] = []
     budgets: list[float] = []
     for t in range(1, horizon + 1):
         dec = decisions[t - 1]
@@ -171,34 +151,21 @@ def evaluate_objective(
                 f"slot {t}: decision uses {used} of capacity {trace.c[t - 1]}"
             )
         if t == 1:
-            x = 0.0
+            xs.append(0.0)
         else:
             # roundoff guard; mathematically x is inside [0, max_gain]
-            x = min(max(z.total / d_sum.total, 0.0), model.domain_max)
-        perfs.append(model.eval(x) * icfg.profit * d_t)
+            xs.append(min(max(z.total / d_sum.total, 0.0), model.domain_max))
+        profits.append(icfg.profit)
         budgets.append(used)
         z.add(d_t * rcfg.gain)
         d_sum.add(d_t)
+    perfs = (model.eval(np.array(xs)) * np.array(profits) * np.array(trace.d)).tolist()
     return RunResult(
         decisions=tuple(decisions),
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(budgets),
     )
-
-
-def history_states(
-    decisions: Sequence[Decision], trace: Trace, profiles: ProfileSet
-) -> tuple[RunState, ...]:
-    """Post-slot (z, d_sum) snapshots for a decision sequence."""
-    z = _CompensatedSum()
-    d_sum = _CompensatedSum()
-    states = []
-    for t, dec in enumerate(decisions):
-        z.add(trace.d[t] * profiles.retrain[dec.retrain_index - 1].gain)
-        d_sum.add(trace.d[t])
-        states.append(RunState(z=z.total, d_sum=d_sum.total))
-    return tuple(states)
 
 
 def run_policy(
@@ -213,19 +180,13 @@ def run_policy(
     never on realized performance, so the sequence is built first and
     scored with evaluate_objective afterwards.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; known: {list(POLICIES)}")
-    ensure_feasible(trace, profiles)
-    _check_domain(profiles, model)
+    jbest = fit_table(trace.d, trace.c, profiles)
     horizon = trace.horizon
-    decisions: list[Decision] = []
-    for t in range(1, horizon + 1):
-        u = trace.c[t - 1] / trace.d[t - 1]
-        if policy == ORRIC:
-            weights = compute_weights(t, horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-            decisions.append(orric_step(replace(weights, u=u), profiles))
-        else:
-            decisions.append(heuristic_step(policy, t, horizon, u, profiles))
+    schedule = ()
+    if policy == ORRIC:
+        schedule = weight_schedule(horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    u = np.array(trace.c) / np.array(trace.d)
+    decisions = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon, u, profiles, schedule)
     meta: dict = {}
     if policy == KNOWLEDGE_DISTILLATION:
         top = (profiles.m, profiles.n)
@@ -260,7 +221,7 @@ def offline_optimal(
     resolved toward the lexicographically lowest retraining sequence,
     which also means the lowest retraining cost.
     """
-    ensure_feasible(trace, profiles)
+    jbest = fit_table(trace.d, trace.c, profiles)
     _check_domain(profiles, model)
     m, horizon = profiles.m, trace.horizon
     total_sequences = m**horizon
@@ -270,16 +231,8 @@ def offline_optimal(
         )
 
     rgain = np.array([e.gain for e in profiles.retrain])
-    rcost = np.array([e.cost for e in profiles.retrain])
     iprofit = np.array([e.profit for e in profiles.infer])
-    icost = np.array([e.cost for e in profiles.infer])
     d = np.array(trace.d)
-    c = np.array(trace.c)
-    u = c / d
-
-    # best feasible inference index per (slot, retrain index); -1 when none fits
-    residual = u[:, None] - rcost[None, :]
-    jbest = np.searchsorted(icost, residual, side="right") - 1
     slot_profit = np.where(jbest >= 0, iprofit[np.clip(jbest, 0, None)], -np.inf)
 
     d_cum = np.cumsum(d)
@@ -429,7 +382,7 @@ def write_trace_csv(path, trace: Trace) -> None:
     lines = ["t,d,c"]
     for t in range(trace.horizon):
         lines.append(f"{t + 1},{trace.d[t]:{_SIG}},{trace.c[t]:{_SIG}}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_run_csv(path, result: RunResult, trace: Trace) -> None:
@@ -445,4 +398,4 @@ def write_run_csv(path, result: RunResult, trace: Trace) -> None:
             f"{result.per_slot_perf[t]:{_SIG}},{cum.total:{_SIG}},"
             f"{result.per_slot_budget_use[t]:{_SIG}},{trace.c[t]:{_SIG}}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -1,17 +1,24 @@
-"""Per-slot decision rules for splitting compute between retraining and inference.
+"""Decision rules for splitting compute between retraining and inference.
 
-The scheduled rule (orric) prices retraining gain and inference profit
-with per-slot weights and maximizes their weighted sum under the
-per-sample budget via a single two-pointer scan. The four heuristics
-cover the natural fixed strategies: spend everything on inference,
-top up retraining with leftovers, put retraining first, or shift the
-budget split from retraining toward inference as the horizon runs out.
+A pair of menu entries (i, j) fits slot t when d_t * (c_i + c_j) <= C_t;
+fit_table states that test once, for every slot and retraining entry,
+and every policy, the oracle and the feasibility check read their
+choices off it. The scheduled rule (orric) prices retraining gain and
+inference profit with per-slot weights and takes the fitting pair with
+the largest weighted sum. The four heuristics cover the natural fixed
+strategies: spend everything on inference, top up retraining with
+leftovers, put retraining first, or shift the budget split from
+retraining toward inference as the horizon runs out. orric_step is the
+independent per-slot two-pointer form of orric, kept as a reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .accuracy import AccuracyModel
 from .errors import InfeasibleError
@@ -28,8 +35,11 @@ __all__ = [
     "ScheduleWeights",
     "Decision",
     "DecisionSequence",
+    "weight_schedule",
     "compute_weights",
     "orric_step",
+    "fit_table",
+    "table_decisions",
     "heuristic_step",
 ]
 
@@ -47,8 +57,8 @@ class ScheduleWeights:
     """Slot weights: v prices retraining gain, w prices inference profit.
 
     lam is the per-slot regularizer value, kept for diagnostics only; it
-    never enters a decision. u is the slot's per-sample budget, filled in
-    by the runner.
+    never enters a decision. u is the slot's per-sample budget, which only
+    the per-slot reference orric_step reads.
     """
 
     v: float
@@ -78,6 +88,50 @@ class Decision:
 DecisionSequence = tuple[Decision, ...]
 
 
+def weight_schedule(
+    horizon: int,
+    model: AccuracyModel,
+    d_min: float,
+    d_max: float,
+    a_min_infer: float,
+) -> tuple[ScheduleWeights, ...]:
+    """Weights for every slot 1..horizon, in O(horizon).
+
+    v discounts retraining by the guaranteed future value of one unit of
+    gain (a harmonic tail that vanishes at the last slot), w prices
+    inference by the curve ceiling, except in slot 1 where it uses the
+    overestimate intercept so the two prices stay comparable.
+    """
+    if not 0.0 < d_min <= d_max:
+        raise ValueError("need 0 < d_min <= d_max")
+    if a_min_infer <= 0.0:
+        raise ValueError("a_min_infer must be positive")
+    # tails[t - 1] equals math.fsum(1 / tau for tau in range(t, horizon)) bit for bit:
+    # the exact tail is carried back from the last slot as Shewchuk partials
+    # (non-overlapping floats summing to it exactly), and fsum rounds it once
+    tails = [0.0] * horizon
+    partials: list[float] = []
+    for t in range(horizon - 1, 0, -1):
+        x = 1.0 / t
+        k = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[k] = lo
+                k += 1
+            x = hi
+        partials[k:] = [x]
+        tails[t - 1] = math.fsum(partials)
+    base = model.L * (d_min * a_min_infer / d_max)
+    return tuple(
+        ScheduleWeights(v=base * tail, w=model.g_at_max if t == 1 else model.f_at_max, lam=base / t)
+        for t, tail in enumerate(tails, 1)
+    )
+
+
 def compute_weights(
     t: int,
     horizon: int,
@@ -86,23 +140,10 @@ def compute_weights(
     d_max: float,
     a_min_infer: float,
 ) -> ScheduleWeights:
-    """Weight schedule for slot t of the given horizon.
-
-    v discounts retraining by the guaranteed future value of one unit of
-    gain (a harmonic tail that vanishes at the last slot), w prices
-    inference by the curve ceiling, except in slot 1 where it uses the
-    overestimate intercept so the two prices stay comparable.
-    """
+    """Weight schedule entry for slot t of the given horizon (see weight_schedule)."""
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    if not 0.0 < d_min <= d_max:
-        raise ValueError("need 0 < d_min <= d_max")
-    if a_min_infer <= 0.0:
-        raise ValueError("a_min_infer must be positive")
-    base = model.L * (d_min * a_min_infer / d_max)
-    v = base * math.fsum(1.0 / tau for tau in range(t, horizon))
-    w = model.g_at_max if t == 1 else model.f_at_max
-    return ScheduleWeights(v=v, w=w, lam=base / t)
+    return weight_schedule(horizon, model, d_min, d_max, a_min_infer)[t - 1]
 
 
 def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
@@ -135,62 +176,82 @@ def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
     return Decision(best_i + 1, best_j + 1)
 
 
-def _max_fitting_infer(profiles: ProfileSet, budget: float) -> int:
-    best = -1
-    for k, cfg in enumerate(profiles.infer):
-        if cfg.cost <= budget:
-            best = k
-        else:
-            break
-    return best
+def fit_table(volumes, capacities, profiles: ProfileSet) -> np.ndarray:
+    """The budget test, stated once: which menu pairs fit each slot.
+
+    jbest[t, i] is the last 0-based inference index j with
+    d_t * (c_i + c_j) <= C_t, or -1 when none fits; the scorer checks
+    decisions with the same expression. Costs ascend, so the fitting j
+    of a row form a prefix, and jbest is nonincreasing along a row.
+    Raises InfeasibleError for the first slot that cannot afford the
+    no-op retraining with the cheapest inference configuration.
+    """
+    rc = np.array([e.cost for e in profiles.retrain])
+    ic = np.array([e.cost for e in profiles.infer])
+    d = np.asarray(volumes, dtype=float)
+    c = np.asarray(capacities, dtype=float)
+    jbest = np.count_nonzero(d[:, None, None] * (rc[:, None] + ic) <= c[:, None, None], axis=2) - 1
+    short = np.flatnonzero(jbest[:, 0] < 0)
+    if short.size:
+        k = int(short[0])
+        raise InfeasibleError(
+            f"slot {k + 1}: capacity {c[k]} cannot cover the cheapest "
+            f"inference configuration ({d[k]} * {profiles.min_infer_cost})"
+        )
+    return jbest
 
 
-def _max_fitting_retrain(profiles: ProfileSet, budget: float) -> int:
-    best = -1
-    for k, cfg in enumerate(profiles.retrain):
-        if cfg.cost <= budget:
-            best = k
-        else:
-            break
-    return best
+def table_decisions(
+    policy: str,
+    jbest: np.ndarray,
+    t: np.ndarray,
+    horizon: int,
+    u: np.ndarray,
+    profiles: ProfileSet,
+    schedule: Sequence[ScheduleWeights] = (),
+) -> list[Decision]:
+    """A named policy's decision for every row of a fit table.
+
+    t holds the rows' 1-based slot numbers, u their per-sample budgets
+    C_t / d_t and schedule (orric only) their weights. Each rule picks a
+    retraining index i and pairs it with jbest[row, i], the most
+    profitable inference entry that still fits.
+    """
+    if policy == ORRIC:
+        v = np.array([s.v for s in schedule])
+        w = np.array([s.w for s in schedule])
+        gain = np.array([e.gain for e in profiles.retrain])
+        profit = np.array([e.profit for e in profiles.infer])
+        value = v[:, None] * gain + w[:, None] * profit[np.maximum(jbest, 0)]
+        value[jbest < 0] = -np.inf
+        # argmax keeps the first maximizer: orric_step's scan-order tie rule
+        i = np.argmax(value, axis=1)
+    elif policy == INFERENCE_ONLY:
+        i = np.zeros(len(jbest), dtype=int)
+    elif policy == INFERENCE_GREEDY:
+        # keep the best inference entry, then top up retraining with what is left
+        i = np.count_nonzero(jbest >= jbest[:, :1], axis=1) - 1
+    elif policy == KNOWLEDGE_DISTILLATION:
+        # retraining first, but always leave room for the cheapest inference
+        i = np.count_nonzero(jbest >= 0, axis=1) - 1
+    elif policy == FOCUS_SHIFT:
+        # retraining's budget share decays linearly to 0 at the horizon
+        rho = (horizon - t) / (horizon - 1) if horizon > 1 else np.zeros(len(jbest))
+        share = rho * (u - profiles.min_infer_cost)
+        rc = np.array([e.cost for e in profiles.retrain])
+        # the no-op fits every feasible slot, even where rounding puts u under the cheapest cost
+        i = np.maximum(np.count_nonzero((jbest >= 0) & (rc <= share[:, None]), axis=1) - 1, 0)
+    else:
+        raise ValueError(f"unknown policy {policy!r}; known: {list(POLICIES)}")
+    j = jbest[np.arange(len(jbest)), i]
+    return [Decision(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist())]
 
 
 def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> Decision:
-    """One slot of a named fixed strategy under per-sample budget u."""
+    """One slot of a named fixed strategy: slot t of unit volumes with per-sample budget u."""
     if policy not in HEURISTICS:
         raise ValueError(f"unknown heuristic {policy!r}; known: {list(HEURISTICS)}")
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    if u <= 0.0:
-        raise InfeasibleError(f"per-sample budget {u} is not positive")
-
-    if policy == INFERENCE_ONLY:
-        j = _max_fitting_infer(profiles, u)
-        if j < 0:
-            raise InfeasibleError(f"no inference configuration fits budget {u}")
-        return Decision(1, j + 1)
-
-    if policy == INFERENCE_GREEDY:
-        j = _max_fitting_infer(profiles, u)
-        if j < 0:
-            raise InfeasibleError(f"no inference configuration fits budget {u}")
-        i = _max_fitting_retrain(profiles, u - profiles.infer[j].cost)
-        return Decision(i + 1, j + 1)
-
-    if policy == KNOWLEDGE_DISTILLATION:
-        # retraining first, but always leave room for the cheapest inference
-        i = _max_fitting_retrain(profiles, u - profiles.min_infer_cost)
-        if i < 0:
-            raise InfeasibleError(f"no inference configuration fits budget {u}")
-        j = _max_fitting_infer(profiles, u - profiles.retrain[i].cost)
-        return Decision(i + 1, j + 1)
-
-    # focus-shift: retraining's budget share decays linearly to 0 at the horizon
-    rho = 0.0 if horizon <= 1 else (horizon - t) / (horizon - 1)
-    i = _max_fitting_retrain(profiles, rho * (u - profiles.min_infer_cost))
-    if i < 0:
-        raise InfeasibleError(f"no inference configuration fits budget {u}")
-    j = _max_fitting_infer(profiles, u - profiles.retrain[i].cost)
-    if j < 0:
-        raise InfeasibleError(f"no inference configuration fits budget {u}")
-    return Decision(i + 1, j + 1)
+    jbest = fit_table([1.0], [u], profiles)
+    return table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles)[0]

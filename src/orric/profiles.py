@@ -2,8 +2,9 @@
 
 A menu is a discrete list of operating points, each buying accuracy with
 per-sample compute. After dominance pruning both menus are strictly
-ascending in cost and in payoff, which is the shape the two-pointer
-decision rule in :mod:`orric.policies` relies on.
+ascending in cost and in payoff, which is the shape the fit table in
+:mod:`orric.policies` relies on: the inference entries that fit a budget
+alongside a retraining entry form a prefix of the menu.
 
 Costs are opaque compute units (MACs per sample in the shipped data set);
 they are only ever compared, never converted.
@@ -16,6 +17,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .atomic import write_atomic
 
 __all__ = [
     "RetrainConfig",
@@ -237,4 +240,4 @@ def save_profiles(path, profiles: ProfileSet) -> None:
         "retrain": [{"gain": e.gain, "cost": e.cost} for e in profiles.retrain],
         "infer": [{"profit": e.profit, "cost": e.cost} for e in profiles.infer],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")

@@ -214,8 +214,9 @@ class TestRun:
         assert summary["oracle"] == {"skipped": "oracle disabled (cap 0)"}
 
     def test_replay_shortcut(self, tmp_path):
+        # `replay` is the one entry point for the replay scenario
         out = tmp_path / "run"
-        rc = main(["run", "--replay", "fog", "--T", "4", "--out", str(out)])
+        rc = main(["replay", "fog", "--T", "4", "--out", str(out)])
         assert rc == 0
         for name in ("profiles.json", "model.json", "trace.csv", "summary.json"):
             assert (out / name).exists()
@@ -236,6 +237,24 @@ class TestRun:
     def test_missing_inputs(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path / "run")])
         assert rc == 1
+
+    def test_budget_on_pair_cost(self, tmp_path, capsys):
+        # capacity 0.7 + 0.1 = 0.7999999999999999 is exactly the top pair's cost
+        save_profiles(tmp_path / "profiles.json",
+                      ProfileSet(retrain=[(0.0, 0.0), (0.5, 0.7)], infer=[(1.0, 0.1)]))
+        save_model(tmp_path / "model.json",
+                   make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5))
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,d,c\n1,1,{0.7 + 0.1!r}\n2,1,{0.7 + 0.1!r}\n")
+        out = tmp_path / "run"
+        rc = main(["run", "--profiles", str(tmp_path / "profiles.json"),
+                   "--model", str(tmp_path / "model.json"), "--trace", str(trace),
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["oracle"]["total"] == 1.15
+        for name, entry in summary["policies"].items():
+            assert entry["total"] <= summary["oracle"]["total"], name
 
 
 class TestOracle:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orric.atomic as atomic
 import orric.engine as engine
 from orric import (
     CapExceededError,
@@ -12,19 +15,22 @@ from orric import (
     InfeasibleError,
     ProfileSet,
     Trace,
+    TraceSpec,
     ensure_feasible,
     evaluate_objective,
-    history_states,
+    generate_trace,
     make_model,
     mixture_gap,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
     run_policy,
+    save_model,
+    save_profiles,
     write_run_csv,
     write_trace_csv,
 )
-from orric.policies import POLICIES
+from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     naive_optimal_total,
     random_feasible_trace,
@@ -101,15 +107,6 @@ class TestEvaluateObjective:
         small = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5)
         with pytest.raises(ValueError):
             evaluate_objective((Decision(1, 1), Decision(1, 1)), worked_trace, ps, small)
-
-    def test_history_states(self, worked_profiles, worked_trace):
-        states = history_states(
-            (Decision(2, 1), Decision(1, 2)), worked_trace, worked_profiles
-        )
-        assert states[0].z == 1.0 and states[0].d_sum == 1.0
-        assert states[0].average_gain == 1.0
-        assert states[1].z == 1.0 and states[1].d_sum == 2.0
-        assert states[1].average_gain == 0.5
 
 
 class TestRunPolicy:
@@ -211,6 +208,40 @@ class TestOfflineOptimal:
                 assert run_policy(policy, trace, ps, model).total <= cap + 1e-9
 
 
+class TestBudgetBoundary:
+    """Budgets exactly on a pair's cost: every path must agree with the scorer's test."""
+
+    def test_two_slot_instance(self):
+        ps = ProfileSet(retrain=[(0.0, 0.0), (0.5, 0.7)], infer=[(1.0, 0.1)])
+        model = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5)
+        c = 0.7 + 0.1  # 0.7999999999999999: the scorer's D * (c_i + c_j) for the top pair
+        trace = Trace(d=(1.0, 1.0), c=(c, c), d_min=1.0, d_max=1.0)
+        oracle = offline_optimal(trace, ps, model)
+        assert oracle.decisions == (Decision(2, 1), Decision(1, 1))
+        assert oracle.total == pytest.approx(1.15, abs=1e-12)
+        for policy in POLICIES:
+            result = run_policy(policy, trace, ps, model)
+            assert result.total <= oracle.total, policy
+        kd = run_policy(KNOWLEDGE_DISTILLATION, trace, ps, model)
+        assert kd.decisions == (Decision(2, 1), Decision(2, 1))
+        assert kd.meta["degraded_slots"] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sufficient_law_affords_top_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = random_profileset(rng, max_m=4, max_n=4)
+        model = random_model(rng, 1.0)
+        spec = TraceSpec(horizon=6, d_law="uniform", d_lo=1.0, d_hi=10.0, c_law="sufficient", seed=seed)
+        trace = generate_trace(spec, ps)
+        oracle = offline_optimal(trace, ps, model).total
+        for policy in POLICIES:
+            result = run_policy(policy, trace, ps, model)
+            assert result.total <= oracle, policy
+            if policy == KNOWLEDGE_DISTILLATION:
+                assert result.meta["degraded_slots"] == []
+
+
 class TestWitness:
     def test_bilinear_closed_form(self):
         gap_pos = mixture_gap(lambda x: x, 0.0, 1.0, 1.0, 0.5, 0.5)
@@ -295,3 +326,33 @@ class TestRunCSV:
         assert lines[0] == "t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"
         assert lines[1] == "1,2,1,12,0.3,0.3,12,12"
         assert lines[2] == "2,1,2,5,0.8,1.1,5,5"
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["trace", "run", "profiles", "model"])
+    def test_failed_replace_keeps_old_file(
+        self, tmp_path, monkeypatch, writer, worked_profiles, worked_model, worked_trace
+    ):
+        path = tmp_path / "out"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        write = {
+            "trace": lambda: write_trace_csv(path, worked_trace),
+            "run": lambda: write_run_csv(
+                path, run_policy("orric", worked_trace, worked_profiles, worked_model), worked_trace
+            ),
+            "profiles": lambda: save_profiles(path, worked_profiles),
+            "model": lambda: save_model(path, worked_model),
+        }[writer]
+        with pytest.raises(OSError, match="replace failed"):
+            write()
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        monkeypatch.undo()
+        write()
+        assert path.read_text() != "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]

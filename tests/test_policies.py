@@ -21,12 +21,15 @@ from orric import (
     InfeasibleError,
     ProfileSet,
     ScheduleWeights,
+    Trace,
     compute_weights,
     heuristic_step,
     make_model,
     orric_step,
+    run_policy,
 )
-from conftest import random_profileset
+from orric.policies import weight_schedule
+from conftest import random_model, random_profileset
 
 
 def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
@@ -50,6 +53,70 @@ def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision
     if best is None:
         raise InfeasibleError("no pair fits")
     return best
+
+
+def enumerated_decision(policy, d, c, t, horizon, weights, profiles) -> Decision:
+    """One slot of a policy by exhaustive pair enumeration under the scorer's test.
+
+    A pair (i, j) fits when d * (c_i + c_j) <= c, the expression
+    evaluate_objective enforces; each policy's rule is then read off the
+    list of fitting pairs directly.
+    """
+    rc = [e.cost for e in profiles.retrain]
+    ic = [e.cost for e in profiles.infer]
+    pairs = [(i, j) for i in range(profiles.m) for j in range(profiles.n) if d * (rc[i] + ic[j]) <= c]
+    assert pairs, "instance must be feasible"
+
+    def best_j(i):
+        return max((b for a, b in pairs if a == i), default=-1)
+
+    if policy == ORRIC:
+        best, best_value = None, 0.0
+        for i, j in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
+            value = weights.v * profiles.retrain[i].gain + weights.w * profiles.infer[j].profit
+            if value > best_value:
+                best, best_value = (i, j), value
+        i, j = best
+    elif policy == INFERENCE_ONLY:
+        i, j = 0, best_j(0)
+    elif policy == INFERENCE_GREEDY:
+        j = best_j(0)
+        i = max(a for a, b in pairs if b == j)
+    elif policy == KNOWLEDGE_DISTILLATION:
+        i = max(a for a, _ in pairs)
+        j = best_j(i)
+    else:
+        rho = 0.0 if horizon <= 1 else (horizon - t) / (horizon - 1)
+        share = rho * (c / d - profiles.min_infer_cost)
+        i = max((a for a, _ in pairs if rc[a] <= share), default=0)
+        j = best_j(i)
+    return Decision(i + 1, j + 1)
+
+
+class TestFitTable:
+    def test_decisions_match_pair_enumeration(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            ps = random_profileset(rng, max_m=6, max_n=6)
+            model = random_model(rng, 1.0)
+            horizon = int(rng.integers(1, 9))
+            d = rng.uniform(1.0, 10.0, horizon)
+            c = []
+            for d_t in d:
+                if rng.random() < 0.5:
+                    c.append(float(d_t * rng.uniform(ps.min_infer_cost, 1.3 * ps.top_pair_cost)))
+                else:
+                    # a budget exactly on some pair's cost under the scorer's test
+                    i, j = int(rng.integers(ps.m)), int(rng.integers(ps.n))
+                    c.append(float(d_t * (ps.retrain[i].cost + ps.infer[j].cost)))
+            trace = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
+            schedule = weight_schedule(horizon, model, 1.0, 10.0, ps.min_profit)
+            for policy in POLICIES:
+                expected = tuple(
+                    enumerated_decision(policy, trace.d[t], trace.c[t], t + 1, horizon, schedule[t], ps)
+                    for t in range(horizon)
+                )
+                assert run_policy(policy, trace, ps, model).decisions == expected, policy
 
 
 class TestScheduleWeights:
@@ -105,6 +172,18 @@ class TestComputeWeights:
         vs = [compute_weights(t, 12, m, 1.0, 3.0, 0.4).v for t in range(1, 13)]
         assert all(a >= b for a, b in zip(vs, vs[1:]))
         assert vs[-1] == 0.0
+
+    def test_schedule_matches_per_slot_fsum(self):
+        m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
+        base = m.L * (2.0 * 0.6 / 4.0)
+        inv = [0.0] + [1.0 / tau for tau in range(1, 300)]
+        for horizon in range(1, 301):
+            schedule = weight_schedule(horizon, m, 2.0, 4.0, 0.6)
+            assert [s.v for s in schedule] == [
+                base * math.fsum(inv[t:horizon]) for t in range(1, horizon + 1)
+            ]
+            assert [s.lam for s in schedule] == [base / t for t in range(1, horizon + 1)]
+            assert [s.w for s in schedule] == [m.g_at_max] + [m.f_at_max] * (horizon - 1)
 
     def test_argument_validation(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
