@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: gen-trace, prune, run, oracle, bounds, replay, witness.
-All emitted numbers carry 12 significant digits and every output is a
-pure function of the flags, so reruns are byte-identical. Exit codes:
+Emitted numbers carry 12 significant digits (trace CSVs keep exact
+values) and every output is a pure function of the flags, so reruns are
+byte-identical. Exit codes:
 0 success, 1 validation error, 2 infeasibility.
 """
 
@@ -31,6 +32,7 @@ from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
 _SIG = ".12g"
+_CAP_HELP = "largest retraining-sequence space m^T the oracle accepts; 0 disables"
 
 
 class _UsageError(Exception):
@@ -298,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=float, default=None, help="declared volume upper bound for a loaded trace")
     _add_trace_law_flags(p)
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
-    p.add_argument("--oracle-cap", type=int, default=10_000_000,
-                   help="max retraining sequences to enumerate; 0 disables the oracle")
+    p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_run)
 
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--d-min", type=float, default=None)
     p.add_argument("--d-max", type=float, default=None)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--f-at-max", type=float, default=None)
     p.add_argument("--policies", default=",".join(POLICIES))
-    p.add_argument("--oracle-cap", type=int, default=10_000_000)
+    p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_replay)
 

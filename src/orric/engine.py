@@ -3,9 +3,10 @@
 A run scores a decision sequence against a trace: each slot earns
 f(average historical retraining gain) times the slot's inference profit
 times its data volume, with slot 1 scored at f(0) because there is no
-history yet. The offline oracle enumerates retraining sequences
-exhaustively (greedy inference is optimal per slot once retraining is
-fixed) and is the denominator for empirical performance ratios.
+history yet. The offline oracle is exact: it prunes partial retraining
+sequences to the Pareto frontier of (volume-weighted gain so far, score
+so far), with greedy inference per slot once retraining is fixed, and it
+is the denominator for empirical performance ratios.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "write_run_csv",
 ]
 
-_ORACLE_CHUNK = 1 << 16
 _SIG = ".12g"
 
 
@@ -86,6 +86,8 @@ class Trace:
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         if not self.d or len(self.d) != len(self.c):
             raise ValueError("d and c must be non-empty and equal length")
+        if not all(map(math.isfinite, (*self.d, *self.c, self.d_min, self.d_max))):
+            raise ValueError("volumes, capacities and volume bounds must be finite")
         if not 0.0 < self.d_min <= self.d_max:
             raise ValueError("need 0 < d_min <= d_max")
         if min(self.d) < self.d_min or max(self.d) > self.d_max:
@@ -197,29 +199,30 @@ def run_policy(
     return replace(result, policy=policy, meta=meta)
 
 
-def _decode_sequences(ids: np.ndarray, m: int, horizon: int) -> np.ndarray:
-    """Base-m digits of ids, most significant digit first (slot 1)."""
-    digits = np.empty((ids.size, horizon), dtype=np.int64)
-    rest = ids.copy()
-    for col in range(horizon - 1, -1, -1):
-        digits[:, col] = rest % m
-        rest //= m
-    return digits
-
-
 def offline_optimal(
     trace: Trace,
     profiles: ProfileSet,
     model: AccuracyModel,
     cap: int = 10_000_000,
 ) -> RunResult:
-    """Exact offline optimum by exhausting retraining sequences.
+    """Exact offline optimum by dynamic programming over Pareto-frontier states.
 
     For a fixed retraining sequence the objective is separable per slot
     and every slot coefficient is positive, so the most profitable
-    feasible inference configuration is optimal slot by slot. Ties are
-    resolved toward the lexicographically lowest retraining sequence,
-    which also means the lowest retraining cost.
+    feasible inference configuration is optimal slot by slot. What is
+    left is the retraining sequence. After slot t a partial sequence is
+    summarized by z (its volume-weighted gain so far) and its score so
+    far; f is nondecreasing and every later slot's coefficient is
+    nonnegative, so a state with no larger z and no larger score than
+    another can be dropped without losing the optimum (dominance
+    pruning, as in the Nemhauser-Ullmann Pareto-set algorithm).
+
+    Ties are resolved toward the lexicographically lowest retraining
+    sequence, which also means the lowest retraining cost: states are
+    kept in prefix order, and among equal states the first prefix wins.
+    The answer is exact over all m^T retraining sequences; that count,
+    reported as meta["enumerated_sequences"], must not exceed cap.
+    meta["frontier_peak"] is the largest number of states kept after a slot.
     """
     jbest = fit_table(trace.d, trace.c, profiles)
     _check_domain(profiles, model)
@@ -233,34 +236,48 @@ def offline_optimal(
     rgain = np.array([e.gain for e in profiles.retrain])
     iprofit = np.array([e.profit for e in profiles.infer])
     d = np.array(trace.d)
-    slot_profit = np.where(jbest >= 0, iprofit[np.clip(jbest, 0, None)], -np.inf)
-
+    fits = jbest >= 0
+    slot_profit = np.where(fits, iprofit[np.clip(jbest, 0, None)], -np.inf)
+    # an unaffordable pair gets z = -inf: it sorts last and is never kept
+    dz = np.where(fits, d[:, None] * rgain, -np.inf)
     d_cum = np.cumsum(d)
-    best_value = -np.inf
-    best_digits: np.ndarray | None = None
-    for start in range(0, total_sequences, _ORACLE_CHUNK):
-        ids = np.arange(start, min(start + _ORACLE_CHUNK, total_sequences), dtype=np.int64)
-        digits = _decode_sequences(ids, m, horizon)
-        z_cum = np.cumsum(rgain[digits] * d[None, :], axis=1)
-        x = np.empty_like(z_cum)
-        x[:, 0] = 0.0
-        if horizon > 1:
-            x[:, 1:] = z_cum[:, :-1] / d_cum[:-1]
-        np.clip(x, 0.0, model.domain_max, out=x)
-        values = np.sum(model.eval(x) * slot_profit[np.arange(horizon)[None, :], digits] * d[None, :], axis=1)
-        k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value = float(values[k])
-            best_digits = digits[k].copy()
 
-    assert best_digits is not None
-    if not np.isfinite(best_value):
-        raise InfeasibleError("no feasible decision sequence exists")
-    decisions = tuple(
-        Decision(int(i) + 1, int(jbest[t, i]) + 1) for t, i in enumerate(best_digits)
-    )
+    z = np.zeros(1)
+    score = np.zeros(1)
+    trail: list[np.ndarray] = []
+    peak = 1
+    for t in range(horizon):
+        x = z / d_cum[t - 1] if t else z
+        fx = model.eval(np.clip(x, 0.0, model.domain_max))
+        # candidate k * m + i extends state k by retraining choice i, so
+        # candidates are in prefix order when the states are
+        zc = (z[:, None] + dz[t]).ravel()
+        sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
+        # z descending, then score descending; the stable sort keeps prefix order within ties
+        order = np.lexsort((-sc, -zc))
+        zs, ss = zc[order], sc[order]
+        # drop a state when one sorted before it (so with at least its z) scores
+        # strictly more, or when it repeats its predecessor's z: that earlier
+        # prefix scores at least as much
+        keep = np.empty(order.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
+        kept = np.sort(order[keep])
+        z, score = zc[kept], sc[kept]
+        trail.append(kept)
+        peak = max(peak, kept.size)
+
+    k = int(np.argmax(score))
+    choice = [0] * horizon
+    for t in range(horizon - 1, -1, -1):
+        k, choice[t] = divmod(int(trail[t][k]), m)
+    decisions = tuple(Decision(i + 1, int(jbest[t, i]) + 1) for t, i in enumerate(choice))
     result = evaluate_objective(decisions, trace, profiles, model)
-    return replace(result, policy="oracle", meta={"enumerated_sequences": total_sequences})
+    return replace(
+        result,
+        policy="oracle",
+        meta={"enumerated_sequences": total_sequences, "frontier_peak": peak},
+    )
 
 
 def mixture_gap(f: Callable[[float], float], x1, x2, y1, y2, alpha: float) -> float:
@@ -379,9 +396,14 @@ def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None)
 
 
 def write_trace_csv(path, trace: Trace) -> None:
+    """Write a trace as CSV (header t,d,c) that read_trace_csv reads back exactly.
+
+    Each value is its shortest round-trip repr, with an integral value's
+    trailing ".0" dropped, so a budget on a pair's cost stays on it.
+    """
     lines = ["t,d,c"]
     for t in range(trace.horizon):
-        lines.append(f"{t + 1},{trace.d[t]:{_SIG}},{trace.c[t]:{_SIG}}")
+        lines.append(f"{t + 1},{repr(trace.d[t]).removesuffix('.0')},{repr(trace.c[t]).removesuffix('.0')}")
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,8 +45,8 @@ class RetrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gain <= 1.0 + _TOL:
             raise ValueError(f"retraining gain must lie in [0, 1], got {self.gain}")
-        if self.cost < 0.0:
-            raise ValueError(f"retraining cost must be >= 0, got {self.cost}")
+        if not 0.0 <= self.cost < math.inf:
+            raise ValueError(f"retraining cost must be finite and >= 0, got {self.cost}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,10 @@ class InferConfig:
     cost: float
 
     def __post_init__(self) -> None:
-        if self.profit <= 0.0:
-            raise ValueError(f"inference profit must be positive, got {self.profit}")
-        if self.cost <= 0.0:
-            raise ValueError(f"inference cost must be positive, got {self.cost}")
+        if not 0.0 < self.profit < math.inf:
+            raise ValueError(f"inference profit must be finite and positive, got {self.profit}")
+        if not 0.0 < self.cost < math.inf:
+            raise ValueError(f"inference cost must be finite and positive, got {self.cost}")
 
 
 def _coerce(entry, cls):
@@ -223,9 +224,26 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
                     raise ValueError(f"unknown profile kind {kind!r}")
     else:
         data = json.loads(path.read_text())
-        retrain = [RetrainConfig(float(e["gain"]), float(e["cost"])) for e in data.get("retrain", [])]
-        infer = [InferConfig(float(e["profit"]), float(e["cost"])) for e in data.get("infer", [])]
+        if not isinstance(data, dict):
+            raise ValueError('profile JSON must be an object with "retrain" and "infer" lists')
+        retrain = _json_menu(data, "retrain", RetrainConfig, "gain")
+        infer = _json_menu(data, "infer", InferConfig, "profit")
     return retrain, infer
+
+
+def _json_menu(data: dict, menu: str, cls, payoff: str) -> list:
+    entries = data.get(menu, [])
+    if not isinstance(entries, list):
+        raise ValueError(f'profile JSON "{menu}" must be a list')
+    configs = []
+    for k, entry in enumerate(entries, 1):
+        try:
+            configs.append(cls(float(entry[payoff]), float(entry["cost"])))
+        except (TypeError, KeyError) as exc:
+            raise ValueError(
+                f'{menu} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}'
+            ) from exc
+    return configs
 
 
 def load_profiles(path, auto_insert_zero: bool = True) -> ProfileSet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from orric import (
     evaluate_objective,
     make_model,
 )
+from orric.policies import fit_table
 
 FAMILY_POOL = ("linear", "shifted-power", "exponential-saturation", "shifted-log")
 
@@ -134,3 +136,51 @@ def naive_optimal_total(trace, profiles, model):
         if best is None or result.total > best:
             best = result.total
     return best
+
+
+def _decode_sequences(ids: np.ndarray, m: int, horizon: int) -> np.ndarray:
+    """Base-m digits of ids, most significant digit first (slot 1)."""
+    digits = np.empty((ids.size, horizon), dtype=np.int64)
+    rest = ids.copy()
+    for col in range(horizon - 1, -1, -1):
+        digits[:, col] = rest % m
+        rest //= m
+    return digits
+
+
+def enumerate_optimal(trace, profiles, model, chunk: int = 1 << 16):
+    """Reference offline optimum: score all m^T retraining sequences, chunk by chunk.
+
+    Each retraining sequence takes the most profitable fitting inference
+    entry in every slot. The first maximum in sequence-id order wins, so
+    ties go to the lexicographically lowest retraining sequence.
+    """
+    jbest = fit_table(trace.d, trace.c, profiles)
+    m, horizon = profiles.m, trace.horizon
+    total_sequences = m**horizon
+    rgain = np.array([e.gain for e in profiles.retrain])
+    iprofit = np.array([e.profit for e in profiles.infer])
+    d = np.array(trace.d)
+    slot_profit = np.where(jbest >= 0, iprofit[np.clip(jbest, 0, None)], -np.inf)
+    d_cum = np.cumsum(d)
+    best_value = -np.inf
+    best_digits = None
+    for start in range(0, total_sequences, chunk):
+        ids = np.arange(start, min(start + chunk, total_sequences), dtype=np.int64)
+        digits = _decode_sequences(ids, m, horizon)
+        z_cum = np.cumsum(rgain[digits] * d[None, :], axis=1)
+        x = np.empty_like(z_cum)
+        x[:, 0] = 0.0
+        if horizon > 1:
+            x[:, 1:] = z_cum[:, :-1] / d_cum[:-1]
+        np.clip(x, 0.0, model.domain_max, out=x)
+        values = np.sum(model.eval(x) * slot_profit[np.arange(horizon)[None, :], digits] * d[None, :], axis=1)
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value = float(values[k])
+            best_digits = digits[k].copy()
+    decisions = tuple(
+        Decision(int(i) + 1, int(jbest[t, i]) + 1) for t, i in enumerate(best_digits)
+    )
+    result = evaluate_objective(decisions, trace, profiles, model)
+    return replace(result, policy="oracle", meta={"enumerated_sequences": total_sequences})

@@ -8,14 +8,17 @@ import pytest
 from orric import (
     CRBounds,
     ProfileSet,
+    ReplaySpec,
     bounds_report,
     build_io_tight_instance,
+    build_replay,
     compute_bounds,
+    generate_trace,
     make_model,
     offline_optimal,
     run_policy,
 )
-from conftest import random_model, random_profileset
+from conftest import random_feasible_trace, random_model, random_profileset
 
 
 @pytest.fixture
@@ -143,3 +146,33 @@ class TestTightInstance:
             oracle = offline_optimal(trace, ps, model)
             floor = model.eval(0.0) / model.f_at_max
             assert io.total / oracle.total >= floor - 1e-9
+
+
+class TestLongHorizonGuarantees:
+    """The closed-form floors against the exact oracle, far past the enumerable horizons."""
+
+    @staticmethod
+    def assert_floors(trace, ps, model):
+        bounds = compute_bounds(model, ps, trace.d_min, trace.d_max, trace.horizon)
+        oracle = offline_optimal(trace, ps, model, cap=ps.m**trace.horizon)
+        orric = run_policy("orric", trace, ps, model).total
+        io = run_policy("inference-only", trace, ps, model).total
+        assert orric / oracle.total >= bounds.cr_orric - 1e-9
+        assert io / oracle.total >= bounds.cr_inference_only - 1e-9
+        return oracle
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(53)
+        for horizon in (50, 200):
+            for _ in range(10):
+                ps = random_profileset(rng, max_m=4, max_n=4, min_m=2)
+                model = random_model(rng, ps.max_gain)
+                self.assert_floors(random_feasible_trace(rng, ps, horizon), ps, model)
+
+    @pytest.mark.parametrize("corruption", ["fog", "gaussian noise"])
+    def test_replays(self, corruption):
+        ps, model, spec = build_replay(ReplaySpec(corruption=corruption, horizon=1000))
+        oracle = self.assert_floors(generate_trace(spec, ps), ps, model)
+        if corruption == "fog":
+            # constant volumes make many states repeat; they must collapse
+            assert oracle.meta["frontier_peak"] <= 128

@@ -68,6 +68,23 @@ class TestGenTrace:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scarce_uniform_trace_runs(self, tmp_path, capsys, seed):
+        # scarce budgets sit exactly on d_t * (cheapest inference cost); the
+        # written trace must read back on them, not a hair under
+        save_profiles(tmp_path / "profiles.json",
+                      ProfileSet(retrain=[(0.0, 0.0), (0.5, 0.7)], infer=[(0.6, 0.1), (1.0, 0.3)]))
+        save_model(tmp_path / "model.json",
+                   make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5))
+        trace = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--T", "20", "--d-law", "uniform", "--d", "1", "--d-hi", "10",
+                     "--law", "scarce", "--seed", str(seed),
+                     "--profiles", str(tmp_path / "profiles.json"), "--out", str(trace)]) == 0
+        rc = main(["run", "--profiles", str(tmp_path / "profiles.json"),
+                   "--model", str(tmp_path / "model.json"), "--trace", str(trace),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0, capsys.readouterr().err
+
 
 class TestPrune:
     def test_removes_dominated(self, tmp_path, capsys):
@@ -98,6 +115,17 @@ class TestPrune:
         rc = main(["prune", "--profiles", str(raw), "--no-auto-zero",
                    "--out", str(tmp_path / "o.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("menus", [
+        {"retrain": [[0.0, 0.0], [0.5, 3.0]], "infer": [{"profit": 1.0, "cost": 1.0}]},
+        {"retrain": [{"gain": 0.5}], "infer": [{"profit": 1.0, "cost": 1.0}]},
+    ], ids=["list-entry", "missing-key"])
+    def test_malformed_menu_json(self, tmp_path, capsys, menus):
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(menus))
+        rc = main(["prune", "--profiles", str(raw), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "retrain entry 1" in capsys.readouterr().err
 
 
 class TestRun:
@@ -255,6 +283,18 @@ class TestRun:
         assert summary["oracle"]["total"] == 1.15
         for name, entry in summary["policies"].items():
             assert entry["total"] <= summary["oracle"]["total"], name
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trace(self, tmp_path, worked_files, capsys, value):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,d,c\n1,1,12\n2,1,{value}\n")
+        rc = main(["run",
+                   "--profiles", str(worked_files / "profiles.json"),
+                   "--model", str(worked_files / "model.json"),
+                   "--trace", str(trace),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orric.atomic as atomic
-import orric.engine as engine
 from orric import (
     CapExceededError,
     Decision,
@@ -32,6 +31,7 @@ from orric import (
 )
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
+    enumerate_optimal,
     naive_optimal_total,
     random_feasible_trace,
     random_model,
@@ -54,6 +54,27 @@ class TestTrace:
             Trace(d=(3.0,), c=(1.0,), d_min=1.0, d_max=2.0)
         with pytest.raises(ValueError):
             Trace(d=(1.0,), c=(1.0,), d_min=2.0, d_max=1.0)
+
+    @pytest.mark.parametrize("field", ["d", "c", "d_min", "d_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        fields = {"d": (1.0, 2.0), "c": (5.0, 5.0), "d_min": 1.0, "d_max": 2.0}
+        fields[field] = (1.0, value) if field in ("d", "c") else value
+        with pytest.raises(ValueError, match="finite"):
+            Trace(**fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=8),
+        u=st.floats(min_value=0.0, max_value=1e3),
+    )
+    def test_csv_round_trip_is_exact(self, tmp_path_factory, d, u):
+        trace = Trace(d=tuple(d), c=tuple(x * u for x in d), d_min=min(d), d_max=max(d))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace_csv(path, trace)
+        back = read_trace_csv(path)
+        assert back.d == trace.d
+        assert back.c == trace.c
 
     def test_feasibility_floor(self, worked_profiles):
         trace = Trace(d=(1.0, 1.0), c=(12.0, 1.9), d_min=1.0, d_max=1.0)
@@ -171,14 +192,48 @@ class TestOfflineOptimal:
             oracle = offline_optimal(trace, ps, model)
             assert oracle.total == naive_optimal_total(trace, ps, model)
 
-    def test_chunked_enumeration_matches(self, monkeypatch, worked_profiles, worked_model):
+    def test_chunked_enumeration_matches(self, worked_profiles, worked_model):
         rng = np.random.default_rng(37)
         trace = random_feasible_trace(rng, worked_profiles, 4)
-        whole = offline_optimal(trace, worked_profiles, worked_model)
-        monkeypatch.setattr(engine, "_ORACLE_CHUNK", 5)
-        chunked = offline_optimal(trace, worked_profiles, worked_model)
+        whole = enumerate_optimal(trace, worked_profiles, worked_model)
+        chunked = enumerate_optimal(trace, worked_profiles, worked_model, chunk=5)
         assert chunked.total == whole.total
         assert chunked.decisions == whole.decisions
+
+    def test_matches_enumeration_on_ties(self):
+        # constant curves, constant volumes and budgets exactly on a pair's
+        # cost make many sequences tie; both must pick the same one
+        rng = np.random.default_rng(43)
+        with pytest.warns(UserWarning):
+            flat = make_model("constant", {"value": 0.7}, 1.0)
+        checked = 0
+        for k in range(150):
+            ps = random_profileset(rng, max_m=6, max_n=4)
+            model = flat if k % 2 else random_model(rng, 1.0)
+            horizon = int(rng.integers(1, 7))
+            d = float(rng.choice([1.0, 3.0, 10.0]))
+            pairs = [(ps.retrain[int(rng.integers(ps.m))], ps.infer[int(rng.integers(ps.n))])
+                     for _ in range(horizon)]
+            trace = Trace(d=(d,) * horizon, c=tuple(d * (r.cost + i.cost) for r, i in pairs),
+                          d_min=d, d_max=d)
+            oracle = offline_optimal(trace, ps, model)
+            reference = enumerate_optimal(trace, ps, model)
+            assert oracle.decisions == reference.decisions
+            assert oracle.total == reference.total
+            assert oracle.meta["enumerated_sequences"] == ps.m**horizon
+            checked += 1
+        assert checked == 150
+
+    def test_matches_enumeration_on_random_instances(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            ps = random_profileset(rng, max_m=6, max_n=6)
+            model = random_model(rng, 1.0)
+            trace = random_feasible_trace(rng, ps, int(rng.integers(1, 7)))
+            oracle = offline_optimal(trace, ps, model)
+            reference = enumerate_optimal(trace, ps, model)
+            assert oracle.decisions == reference.decisions
+            assert oracle.total == reference.total
 
     def test_cap(self, worked_profiles, worked_model):
         trace = Trace(d=tuple([1.0] * 7), c=tuple([15.0] * 7), d_min=1.0, d_max=1.0)
@@ -186,6 +241,7 @@ class TestOfflineOptimal:
             offline_optimal(trace, worked_profiles, worked_model, cap=100)
         result = offline_optimal(trace, worked_profiles, worked_model, cap=128)
         assert result.meta["enumerated_sequences"] == 128
+        assert 1 <= result.meta["frontier_peak"] <= 128
 
     def test_tie_breaks_to_cheapest_sequence(self, worked_profiles):
         # a flat curve makes every retraining sequence equal; the no-op
@@ -196,6 +252,17 @@ class TestOfflineOptimal:
         result = offline_optimal(trace, worked_profiles, flat)
         assert all(dec.retrain_index == 1 for dec in result.decisions)
         assert all(dec.infer_index == 2 for dec in result.decisions)
+
+    def test_repeated_states_collapse(self, worked_profiles):
+        # on a flat curve every sequence with the same number of retraining
+        # slots reaches the same (z, score); one state per count survives
+        with pytest.warns(UserWarning):
+            flat = make_model("constant", {"value": 0.7}, 1.0)
+        horizon = 16
+        trace = Trace(d=(1.0,) * horizon, c=(15.0,) * horizon, d_min=1.0, d_max=1.0)
+        result = offline_optimal(trace, worked_profiles, flat, cap=2**horizon)
+        assert result.meta["frontier_peak"] == horizon + 1
+        assert result.decisions == (Decision(1, 2),) * horizon
 
     def test_oracle_dominates_policies(self):
         rng = np.random.default_rng(41)

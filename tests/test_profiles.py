@@ -55,6 +55,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             InferConfig(profit=0.5, cost=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda x: RetrainConfig(gain=0.5, cost=x),
+        lambda x: InferConfig(profit=x, cost=1.0),
+        lambda x: InferConfig(profit=0.5, cost=x),
+    ], ids=["retrain-cost", "infer-profit", "infer-cost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
     def test_profit_above_one_allowed(self):
         # raw accuracy menus arrive unnormalized
         cfg = InferConfig(profit=79.57, cost=7.94)
