@@ -124,9 +124,9 @@ class AccuracyModel:
     def eval(self, x):
         """Evaluate the curve at x (scalar or array), rejecting out-of-domain input."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < -_DOMAIN_TOL) or np.any(arr > self.domain_max + _DOMAIN_TOL):
+        if (arr < -_DOMAIN_TOL).any() or (arr > self.domain_max + _DOMAIN_TOL).any():
             raise ValueError(f"curve argument outside [0, {self.domain_max}]")
-        out = self._fn(np.clip(arr, 0.0, self.domain_max))
+        out = self._fn(np.minimum(np.maximum(arr, 0.0), self.domain_max))
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -173,8 +173,8 @@ def make_model(
         L = end_slope
     else:
         L = float(L_override)
-        if L < 0.0:
-            raise ValueError("L must be positive")
+        if not 0.0 <= L < np.inf:
+            raise ValueError(f"L must be finite and >= 0, got {L}")
         if L == 0.0 and end_slope != 0.0:
             raise ValueError("L must be positive for a rising curve")
         if L > end_slope + _SHAPE_TOL:

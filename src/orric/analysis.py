@@ -8,7 +8,7 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .accuracy import AccuracyModel
 from .engine import Trace
@@ -102,27 +102,19 @@ def bounds_report(
     horizon: int,
 ) -> dict:
     """JSON-ready bounds report: every CRBounds field plus the inputs."""
-    bounds = compute_bounds(model, profiles, d_min, d_max, horizon)
-    return {
-        "inputs": {
-            "f0": model.eval(0.0),
-            "f_at_max": model.f_at_max,
-            "L": model.L,
-            "max_gain": profiles.max_gain,
-            "min_profit": profiles.min_profit,
-            "max_profit": profiles.max_profit,
-            "d_min": d_min,
-            "d_max": d_max,
-            "horizon": horizon,
-        },
-        "alpha": bounds.alpha,
-        "cr_inference_only": bounds.cr_inference_only,
-        "tight_cr_io_upper": bounds.tight_cr_io_upper,
-        "cr_orric_a": bounds.cr_orric_a,
-        "cr_orric_b": bounds.cr_orric_b,
-        "cr_orric": bounds.cr_orric,
-        "crossover_horizon": bounds.crossover_horizon,
+    report = asdict(compute_bounds(model, profiles, d_min, d_max, horizon))
+    report["inputs"] = {
+        "f0": model.eval(0.0),
+        "f_at_max": model.f_at_max,
+        "L": model.L,
+        "max_gain": profiles.max_gain,
+        "min_profit": profiles.min_profit,
+        "max_profit": profiles.max_profit,
+        "d_min": d_min,
+        "d_max": d_max,
+        "horizon": horizon,
     }
+    return report
 
 
 def build_io_tight_instance(

@@ -71,9 +71,9 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_schedule_csv(path: Path, trace, model, profiles) -> None:
     lines = ["t,v,w,lambda"]
-    schedule = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-    for t, weights in enumerate(schedule, 1):
-        lines.append(f"{t},{_fmt(weights.v)},{_fmt(weights.w)},{_fmt(weights.lam)}")
+    v, w, lam = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    for t, row in enumerate(zip(v.tolist(), w.tolist(), lam.tolist()), 1):
+        lines.append(f"{t}," + ",".join(map(_fmt, row)))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -102,25 +102,23 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
         summary["policies"][name] = entry
         totals[name] = result.total
 
-    if oracle_cap > 0 and profiles.m**trace.horizon <= oracle_cap:
-        oracle = offline_optimal(trace, profiles, model, cap=oracle_cap)
-        write_run_csv(out_dir / "oracle.csv", oracle, trace)
-        summary["oracle"] = {
-            "total": oracle.total,
-            "csv": "oracle.csv",
-            "enumerated_sequences": oracle.meta["enumerated_sequences"],
-        }
-        # ratios of the emitted (rounded) totals, so the report is self-consistent
-        summary["ratios_vs_oracle"] = {
-            name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
-        }
-    else:
-        reason = (
-            "oracle disabled (cap 0)"
-            if oracle_cap <= 0
-            else f"{profiles.m}^{trace.horizon} retraining sequences exceed the cap {oracle_cap}"
-        )
-        summary["oracle"] = {"skipped": reason}
+    summary["oracle"] = {"skipped": "oracle disabled (cap 0)"}
+    if oracle_cap > 0:
+        try:
+            oracle = offline_optimal(trace, profiles, model, cap=oracle_cap)
+        except CapExceededError as exc:
+            summary["oracle"] = {"skipped": str(exc)}
+        else:
+            write_run_csv(out_dir / "oracle.csv", oracle, trace)
+            summary["oracle"] = {
+                "total": oracle.total,
+                "csv": "oracle.csv",
+                "enumerated_sequences": oracle.meta["enumerated_sequences"],
+            }
+            # ratios of the emitted (rounded) totals, so the report is self-consistent
+            summary["ratios_vs_oracle"] = {
+                name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
+            }
 
     _write_schedule_csv(out_dir / "schedule.csv", trace, model, profiles)
     summary["schedule_csv"] = "schedule.csv"

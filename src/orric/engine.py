@@ -3,7 +3,9 @@
 A run scores a decision sequence against a trace: each slot earns
 f(average historical retraining gain) times the slot's inference profit
 times its data volume, with slot 1 scored at f(0) because there is no
-history yet. The offline oracle is exact: it prunes partial retraining
+history yet. The scorer checks and scores a whole run with array
+expressions, and its running sums and the run CSV's go through one Kahan
+prefix sum. The offline oracle is exact: it prunes partial retraining
 sequences to the Pareto frontier of (volume-weighted gain so far, score
 so far), with greedy inference per slot once retraining is fixed, and it
 is the denominator for empirical performance ratios.
@@ -52,20 +54,20 @@ __all__ = [
 _SIG = ".12g"
 
 
-class _CompensatedSum:
-    """Kahan accumulator; keeps long-horizon running sums honest."""
+def _kahan_cumsum(values) -> list[float]:
+    """Kahan-compensated running sums, which keep long-horizon totals honest.
 
-    __slots__ = ("total", "_carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._carry = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
+    Entry k is the sum of values[0..k]; values should be Python floats.
+    """
+    sums = []
+    total = carry = 0.0
+    for value in values:
+        y = value - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        sums.append(total)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -130,43 +132,40 @@ def evaluate_objective(
     profiles: ProfileSet,
     model: AccuracyModel,
 ) -> RunResult:
-    """Score a complete decision sequence, enforcing the per-slot budget."""
+    """Score a complete decision sequence, enforcing the per-slot budget.
+
+    Every index is checked before any budget, so the first slot with a bad
+    index is reported even when an earlier slot is over its budget.
+    """
     horizon = trace.horizon
     if len(decisions) != horizon:
         raise ValueError(f"expected {horizon} decisions, got {len(decisions)}")
     _check_domain(profiles, model)
-    z = _CompensatedSum()
-    d_sum = _CompensatedSum()
-    xs: list[float] = []
-    profits: list[float] = []
-    budgets: list[float] = []
-    for t in range(1, horizon + 1):
-        dec = decisions[t - 1]
-        if not (1 <= dec.retrain_index <= profiles.m and 1 <= dec.infer_index <= profiles.n):
-            raise ValueError(f"slot {t}: decision indices {dec} outside the menus")
-        rcfg = profiles.retrain[dec.retrain_index - 1]
-        icfg = profiles.infer[dec.infer_index - 1]
-        d_t = trace.d[t - 1]
-        used = d_t * (rcfg.cost + icfg.cost)
-        if used > trace.c[t - 1]:
-            raise InfeasibleError(
-                f"slot {t}: decision uses {used} of capacity {trace.c[t - 1]}"
-            )
-        if t == 1:
-            xs.append(0.0)
-        else:
-            # roundoff guard; mathematically x is inside [0, max_gain]
-            xs.append(min(max(z.total / d_sum.total, 0.0), model.domain_max))
-        profits.append(icfg.profit)
-        budgets.append(used)
-        z.add(d_t * rcfg.gain)
-        d_sum.add(d_t)
-    perfs = (model.eval(np.array(xs)) * np.array(profits) * np.array(trace.d)).tolist()
+    decisions = tuple(decisions)
+    index = np.array([(dec.retrain_index, dec.infer_index) for dec in decisions]) - 1
+    inside = (index >= 0) & (index < (profiles.m, profiles.n))
+    if not inside.all():
+        k = int(inside.all(axis=1).argmin())
+        raise ValueError(f"slot {k + 1}: decision indices {decisions[k]} outside the menus")
+    i, j = index.T
+    menus = profiles.arrays
+    d = np.array(trace.d)
+    used = d * (menus.retrain_cost[i] + menus.infer_cost[j])
+    over = used > trace.c
+    if over.any():
+        k = int(over.argmax())
+        raise InfeasibleError(f"slot {k + 1}: decision uses {float(used[k])} of capacity {trace.c[k]}")
+    z = _kahan_cumsum((d * menus.gain[i]).tolist())
+    d_sum = _kahan_cumsum(trace.d)
+    # slot 1 has no history; the clip is a roundoff guard, as x is inside [0, max_gain]
+    x = np.zeros(horizon)
+    x[1:] = np.minimum(np.maximum(np.divide(z[:-1], d_sum[:-1]), 0.0), model.domain_max)
+    perfs = (model.eval(x) * menus.profit[j] * d).tolist()
     return RunResult(
-        decisions=tuple(decisions),
+        decisions=decisions,
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
-        per_slot_budget_use=tuple(budgets),
+        per_slot_budget_use=tuple(used.tolist()),
     )
 
 
@@ -184,7 +183,7 @@ def run_policy(
     """
     jbest = fit_table(trace.d, trace.c, profiles)
     horizon = trace.horizon
-    schedule = ()
+    schedule = None
     if policy == ORRIC:
         schedule = weight_schedule(horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
     u = np.array(trace.c) / np.array(trace.d)
@@ -229,17 +228,14 @@ def offline_optimal(
     m, horizon = profiles.m, trace.horizon
     total_sequences = m**horizon
     if total_sequences > cap:
-        raise CapExceededError(
-            f"{m}^{horizon} = {total_sequences} retraining sequences exceed the cap {cap}"
-        )
+        raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
 
-    rgain = np.array([e.gain for e in profiles.retrain])
-    iprofit = np.array([e.profit for e in profiles.infer])
+    menus = profiles.arrays
     d = np.array(trace.d)
     fits = jbest >= 0
-    slot_profit = np.where(fits, iprofit[np.clip(jbest, 0, None)], -np.inf)
+    slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
     # an unaffordable pair gets z = -inf: it sorts last and is never kept
-    dz = np.where(fits, d[:, None] * rgain, -np.inf)
+    dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
     d_cum = np.cumsum(d)
 
     z = np.zeros(1)
@@ -338,7 +334,8 @@ def nonconvexity_witness(
     alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     fx = np.asarray(model.eval(xs), dtype=float)
 
-    positive = negative = None
+    sides = {"positive": (np.greater, tol), "negative": (np.less, -tol)}
+    hits: dict[str, MixturePoint] = {}
     for alpha in alphas:
         a = float(alpha)
         xbar = a * xs[:, None] + (1.0 - a) * xs[None, :]
@@ -349,26 +346,19 @@ def nonconvexity_witness(
             - (a * fx)[:, None, None, None] * ys[None, None, :, None]
             - ((1.0 - a) * fx)[None, :, None, None] * ys[None, None, None, :]
         )
-        flat = gap.ravel()
-        if positive is None:
-            hits = np.flatnonzero(flat > tol)
-            if hits.size:
-                i1, i2, j1, j2 = np.unravel_index(int(hits[0]), gap.shape)
-                positive = MixturePoint(
+        for side, (beyond, bound) in sides.items():
+            if side in hits:
+                continue
+            found = np.flatnonzero(beyond(gap, bound))
+            if found.size:
+                i1, i2, j1, j2 = np.unravel_index(int(found[0]), gap.shape)
+                hits[side] = MixturePoint(
                     float(xs[i1]), float(xs[i2]), float(ys[j1]), float(ys[j2]), a,
                     float(gap[i1, i2, j1, j2]),
                 )
-        if negative is None:
-            hits = np.flatnonzero(flat < -tol)
-            if hits.size:
-                i1, i2, j1, j2 = np.unravel_index(int(hits[0]), gap.shape)
-                negative = MixturePoint(
-                    float(xs[i1]), float(xs[i2]), float(ys[j1]), float(ys[j2]), a,
-                    float(gap[i1, i2, j1, j2]),
-                )
-        if positive is not None and negative is not None:
+        if len(hits) == 2:
             break
-    return WitnessReport(positive=positive, negative=negative)
+    return WitnessReport(positive=hits.get("positive"), negative=hits.get("negative"))
 
 
 def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None) -> Trace:
@@ -410,14 +400,11 @@ def write_trace_csv(path, trace: Trace) -> None:
 def write_run_csv(path, result: RunResult, trace: Trace) -> None:
     """Per-slot run report: t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity."""
     lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
-    cum = _CompensatedSum()
-    for t in range(trace.horizon):
-        dec = result.decisions[t]
-        cum.add(result.per_slot_perf[t])
-        u = trace.c[t] / trace.d[t]
+    rows = zip(result.decisions, trace.d, trace.c, result.per_slot_perf,
+               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use)
+    for t, (dec, d, c, perf, cum, used) in enumerate(rows, 1):
         lines.append(
-            f"{t + 1},{dec.retrain_index},{dec.infer_index},{u:{_SIG}},"
-            f"{result.per_slot_perf[t]:{_SIG}},{cum.total:{_SIG}},"
-            f"{result.per_slot_budget_use[t]:{_SIG}},{trace.c[t]:{_SIG}}"
+            f"{t},{dec.retrain_index},{dec.infer_index},{c / d:{_SIG}},"
+            f"{perf:{_SIG}},{cum:{_SIG}},{used:{_SIG}},{c:{_SIG}}"
         )
     write_atomic(path, "\n".join(lines) + "\n")

@@ -3,20 +3,20 @@
 A pair of menu entries (i, j) fits slot t when d_t * (c_i + c_j) <= C_t;
 fit_table states that test once, for every slot and retraining entry,
 and every policy, the oracle and the feasibility check read their
-choices off it. The scheduled rule (orric) prices retraining gain and
-inference profit with per-slot weights and takes the fitting pair with
-the largest weighted sum. The four heuristics cover the natural fixed
-strategies: spend everything on inference, top up retraining with
-leftovers, put retraining first, or shift the budget split from
-retraining toward inference as the horizon runs out. orric_step is the
-independent per-slot two-pointer form of orric, kept as a reference.
+choices off it for all slots at once. The scheduled rule (orric) prices
+retraining gain and inference profit with the weight_schedule arrays and
+takes the fitting pair with the largest weighted sum. The four
+heuristics cover the natural fixed strategies: spend everything on
+inference, top up retraining with leftovers, put retraining first, or
+shift the budget split from retraining toward inference as the horizon
+runs out. orric_step is the independent per-slot two-pointer form of
+orric, kept as a reference; it alone reads a slot's ScheduleWeights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ POLICIES = (ORRIC,) + HEURISTICS
 
 @dataclass(frozen=True)
 class ScheduleWeights:
-    """Slot weights: v prices retraining gain, w prices inference profit.
+    """One slot's weights: v prices retraining gain, w prices inference profit.
 
     lam is the per-slot regularizer value, kept for diagnostics only; it
     never enters a decision. u is the slot's per-sample budget, which only
@@ -94,13 +94,14 @@ def weight_schedule(
     d_min: float,
     d_max: float,
     a_min_infer: float,
-) -> tuple[ScheduleWeights, ...]:
-    """Weights for every slot 1..horizon, in O(horizon).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight arrays (v, w, lam) for slots 1..horizon, in O(horizon).
 
     v discounts retraining by the guaranteed future value of one unit of
     gain (a harmonic tail that vanishes at the last slot), w prices
     inference by the curve ceiling, except in slot 1 where it uses the
-    overestimate intercept so the two prices stay comparable.
+    overestimate intercept so the two prices stay comparable. lam is the
+    per-slot regularizer value, kept for diagnostics only.
     """
     if not 0.0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
@@ -126,10 +127,9 @@ def weight_schedule(
         partials[k:] = [x]
         tails[t - 1] = math.fsum(partials)
     base = model.L * (d_min * a_min_infer / d_max)
-    return tuple(
-        ScheduleWeights(v=base * tail, w=model.g_at_max if t == 1 else model.f_at_max, lam=base / t)
-        for t, tail in enumerate(tails, 1)
-    )
+    w = np.full(horizon, model.f_at_max)
+    w[:1] = model.g_at_max
+    return base * np.array(tails), w, base / np.arange(1, horizon + 1)
 
 
 def compute_weights(
@@ -143,7 +143,8 @@ def compute_weights(
     """Weight schedule entry for slot t of the given horizon (see weight_schedule)."""
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    return weight_schedule(horizon, model, d_min, d_max, a_min_infer)[t - 1]
+    v, w, lam = weight_schedule(horizon, model, d_min, d_max, a_min_infer)
+    return ScheduleWeights(v=float(v[t - 1]), w=float(w[t - 1]), lam=float(lam[t - 1]))
 
 
 def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
@@ -186,8 +187,7 @@ def fit_table(volumes, capacities, profiles: ProfileSet) -> np.ndarray:
     Raises InfeasibleError for the first slot that cannot afford the
     no-op retraining with the cheapest inference configuration.
     """
-    rc = np.array([e.cost for e in profiles.retrain])
-    ic = np.array([e.cost for e in profiles.infer])
+    rc, ic = profiles.arrays.retrain_cost, profiles.arrays.infer_cost
     d = np.asarray(volumes, dtype=float)
     c = np.asarray(capacities, dtype=float)
     jbest = np.count_nonzero(d[:, None, None] * (rc[:, None] + ic) <= c[:, None, None], axis=2) - 1
@@ -208,21 +208,19 @@ def table_decisions(
     horizon: int,
     u: np.ndarray,
     profiles: ProfileSet,
-    schedule: Sequence[ScheduleWeights] = (),
+    schedule: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[Decision]:
     """A named policy's decision for every row of a fit table.
 
     t holds the rows' 1-based slot numbers, u their per-sample budgets
-    C_t / d_t and schedule (orric only) their weights. Each rule picks a
-    retraining index i and pairs it with jbest[row, i], the most
-    profitable inference entry that still fits.
+    C_t / d_t and schedule (orric only) their weight_schedule arrays.
+    Each rule picks a retraining index i and pairs it with jbest[row, i],
+    the most profitable inference entry that still fits.
     """
     if policy == ORRIC:
-        v = np.array([s.v for s in schedule])
-        w = np.array([s.w for s in schedule])
-        gain = np.array([e.gain for e in profiles.retrain])
-        profit = np.array([e.profit for e in profiles.infer])
-        value = v[:, None] * gain + w[:, None] * profit[np.maximum(jbest, 0)]
+        v, w, _ = schedule
+        menus = profiles.arrays
+        value = v[:, None] * menus.gain + w[:, None] * menus.profit[np.maximum(jbest, 0)]
         value[jbest < 0] = -np.inf
         # argmax keeps the first maximizer: orric_step's scan-order tie rule
         i = np.argmax(value, axis=1)
@@ -238,7 +236,7 @@ def table_decisions(
         # retraining's budget share decays linearly to 0 at the horizon
         rho = (horizon - t) / (horizon - 1) if horizon > 1 else np.zeros(len(jbest))
         share = rho * (u - profiles.min_infer_cost)
-        rc = np.array([e.cost for e in profiles.retrain])
+        rc = profiles.arrays.retrain_cost
         # the no-op fits every feasible slot, even where rounding puts u under the cheapest cost
         i = np.maximum(np.count_nonzero((jbest >= 0) & (rc <= share[:, None]), axis=1) - 1, 0)
     else:

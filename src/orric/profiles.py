@@ -16,8 +16,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .atomic import write_atomic
 
@@ -80,6 +83,15 @@ def _check_strictly_monotone(pairs: Sequence[tuple[float, float]], label: str) -
             )
 
 
+class MenuArrays(NamedTuple):
+    """Read-only numpy columns of a ProfileSet's menus, in menu order."""
+
+    gain: np.ndarray
+    retrain_cost: np.ndarray
+    profit: np.ndarray
+    infer_cost: np.ndarray
+
+
 @dataclass(frozen=True)
 class ProfileSet:
     """A pruned, validated pair of menus.
@@ -134,6 +146,14 @@ class ProfileSet:
     def top_pair_cost(self) -> float:
         """Per-sample cost of running both menus at their most expensive entry."""
         return self.retrain[-1].cost + self.infer[-1].cost
+
+    @cached_property
+    def arrays(self) -> MenuArrays:
+        """The menus as read-only arrays, built on first use and shared by every reader."""
+        retrain = np.array([[e.gain for e in self.retrain], [e.cost for e in self.retrain]])
+        infer = np.array([[e.profit for e in self.infer], [e.cost for e in self.infer]])
+        retrain.flags.writeable = infer.flags.writeable = False
+        return MenuArrays(*retrain, *infer)
 
 
 def _dominance_prune(configs, payoff):
@@ -214,8 +234,11 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
                 raise ValueError(f"profile CSV must have header {','.join(expected)}")
             for row in reader:
                 kind = row["kind"].strip()
-                payoff = float(row["gain_or_profit"])
-                cost = float(row["cost"])
+                try:
+                    payoff = float(row["gain_or_profit"])
+                    cost = float(row["cost"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"profile CSV line {reader.line_num} needs a kind and two numbers") from exc
                 if kind == "retrain":
                     retrain.append(RetrainConfig(payoff, cost))
                 elif kind == "infer":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ from orric import (
     InferConfig,
     ProfileSet,
     RetrainConfig,
+    RunResult,
     Trace,
     evaluate_objective,
     make_model,
 )
+from orric.engine import _check_domain
 from orric.policies import fit_table
 
 FAMILY_POOL = ("linear", "shifted-power", "exponential-saturation", "shifted-log")
@@ -184,3 +187,66 @@ def enumerate_optimal(trace, profiles, model, chunk: int = 1 << 16):
     )
     result = evaluate_objective(decisions, trace, profiles, model)
     return replace(result, policy="oracle", meta={"enumerated_sequences": total_sequences})
+
+
+class _CompensatedSum:
+    """Kahan accumulator; keeps long-horizon running sums honest."""
+
+    __slots__ = ("total", "_carry")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._carry = 0.0
+
+    def add(self, value: float) -> None:
+        y = value - self._carry
+        t = self.total + y
+        self._carry = (t - self.total) - y
+        self.total = t
+
+
+def reference_objective(decisions, trace, profiles, model) -> RunResult:
+    """Reference scorer: one slot at a time through the menu config objects.
+
+    This is the per-slot loop evaluate_objective used before it scored
+    whole runs as arrays; the array scorer must match it with ==. Its
+    checks run slot by slot, so an over-budget slot before a bad index
+    is reported first here.
+    """
+    horizon = trace.horizon
+    if len(decisions) != horizon:
+        raise ValueError(f"expected {horizon} decisions, got {len(decisions)}")
+    _check_domain(profiles, model)
+    z = _CompensatedSum()
+    d_sum = _CompensatedSum()
+    xs: list[float] = []
+    profits: list[float] = []
+    budgets: list[float] = []
+    for t in range(1, horizon + 1):
+        dec = decisions[t - 1]
+        if not (1 <= dec.retrain_index <= profiles.m and 1 <= dec.infer_index <= profiles.n):
+            raise ValueError(f"slot {t}: decision indices {dec} outside the menus")
+        rcfg = profiles.retrain[dec.retrain_index - 1]
+        icfg = profiles.infer[dec.infer_index - 1]
+        d_t = trace.d[t - 1]
+        used = d_t * (rcfg.cost + icfg.cost)
+        if used > trace.c[t - 1]:
+            raise InfeasibleError(
+                f"slot {t}: decision uses {used} of capacity {trace.c[t - 1]}"
+            )
+        if t == 1:
+            xs.append(0.0)
+        else:
+            # roundoff guard; mathematically x is inside [0, max_gain]
+            xs.append(min(max(z.total / d_sum.total, 0.0), model.domain_max))
+        profits.append(icfg.profit)
+        budgets.append(used)
+        z.add(d_t * rcfg.gain)
+        d_sum.add(d_t)
+    perfs = (model.eval(np.array(xs)) * np.array(profits) * np.array(trace.d)).tolist()
+    return RunResult(
+        decisions=tuple(decisions),
+        per_slot_perf=tuple(perfs),
+        total=math.fsum(perfs),
+        per_slot_budget_use=tuple(budgets),
+    )

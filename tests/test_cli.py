@@ -127,6 +127,15 @@ class TestPrune:
         assert rc == 1
         assert "retrain entry 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["retrain,0.5", "retrain,0.5,", "infer,,1.0"],
+                             ids=["short", "blank-cost", "blank-payoff"])
+    def test_malformed_menu_csv_row(self, tmp_path, capsys, row):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"kind,gain_or_profit,cost\ninfer,1.0,1.0\n{row}\n")
+        rc = main(["prune", "--profiles", str(raw), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert "profile CSV line 3" in capsys.readouterr().err
+
 
 class TestRun:
     def test_worked_instance_artifacts(self, tmp_path, worked_files, capsys):
@@ -295,6 +304,20 @@ class TestRun:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+
+
+    def test_non_finite_L(self, tmp_path, worked_files, capsys):
+        model = json.loads((worked_files / "model.json").read_text())
+        (tmp_path / "model.json").write_text(json.dumps({**model, "L": float("nan")}))
+        out = tmp_path / "run"
+        rc = main(["run",
+                   "--profiles", str(worked_files / "profiles.json"),
+                   "--model", str(tmp_path / "model.json"),
+                   "--trace", str(worked_files / "trace.csv"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracle:

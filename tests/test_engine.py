@@ -36,6 +36,7 @@ from conftest import (
     random_feasible_trace,
     random_model,
     random_profileset,
+    reference_objective,
 )
 
 
@@ -128,6 +129,50 @@ class TestEvaluateObjective:
         small = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5)
         with pytest.raises(ValueError):
             evaluate_objective((Decision(1, 1), Decision(1, 1)), worked_trace, ps, small)
+
+    def test_index_checked_before_budget(self, worked_profiles, worked_model, worked_trace):
+        # slot 1 is over its budget and slot 2 has a bad index: the index is reported
+        with pytest.raises(ValueError, match="slot 2: decision indices"):
+            evaluate_objective(
+                (Decision(2, 2), Decision(3, 1)), worked_trace, worked_profiles, worked_model
+            )
+
+    def test_matches_per_slot_reference(self):
+        def outcome(scorer, decisions, trace, ps, model):
+            try:
+                result = scorer(decisions, trace, ps, model)
+            except (ValueError, InfeasibleError) as exc:
+                return type(exc), str(exc)
+            return result.total, result.per_slot_perf, result.per_slot_budget_use, result.decisions
+
+        rng = np.random.default_rng(53)
+        for horizon in (1, 2, 2000, *rng.integers(1, 2001, 37).tolist()):
+            ps = random_profileset(rng, max_m=8, max_n=8)
+            model = random_model(rng, 1.0)
+            i = rng.integers(0, ps.m, horizon).tolist()
+            j = rng.integers(0, ps.n, horizon).tolist()
+            d = rng.uniform(1.0, 10.0, horizon).tolist()
+            used = [d_t * (ps.retrain[a].cost + ps.infer[b].cost) for d_t, a, b in zip(d, i, j)]
+            # half the budgets sit exactly on the decision's cost under the scorer's test
+            c = [u if rng.random() < 0.5 else u * rng.uniform(1.0, 1.5) for u in used]
+            decisions = tuple(Decision(a + 1, b + 1) for a, b in zip(i, j))
+            trace = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
+            expected = outcome(reference_objective, decisions, trace, ps, model)
+            assert outcome(evaluate_objective, decisions, trace, ps, model) == expected
+            assert isinstance(expected[0], float)
+
+            k = int(rng.integers(horizon))
+            bad = Decision(ps.m + 1, 1) if rng.random() < 0.5 else Decision(1, 0)
+            bad_index = decisions[:k] + (bad,) + decisions[k + 1:]
+            expected = outcome(reference_objective, bad_index, trace, ps, model)
+            assert expected == (ValueError, f"slot {k + 1}: decision indices {bad} outside the menus")
+            assert outcome(evaluate_objective, bad_index, trace, ps, model) == expected
+
+            c[k] = float(np.nextafter(used[k], 0.0))
+            short = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
+            expected = outcome(reference_objective, decisions, short, ps, model)
+            assert expected == (InfeasibleError, f"slot {k + 1}: decision uses {used[k]} of capacity {c[k]}")
+            assert outcome(evaluate_objective, decisions, short, ps, model) == expected
 
 
 class TestRunPolicy:

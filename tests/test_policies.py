@@ -110,7 +110,8 @@ class TestFitTable:
                     i, j = int(rng.integers(ps.m)), int(rng.integers(ps.n))
                     c.append(float(d_t * (ps.retrain[i].cost + ps.infer[j].cost)))
             trace = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
-            schedule = weight_schedule(horizon, model, 1.0, 10.0, ps.min_profit)
+            v, w, lam = weight_schedule(horizon, model, 1.0, 10.0, ps.min_profit)
+            schedule = [ScheduleWeights(*row) for row in zip(v.tolist(), w.tolist(), lam.tolist())]
             for policy in POLICIES:
                 expected = tuple(
                     enumerated_decision(policy, trace.d[t], trace.c[t], t + 1, horizon, schedule[t], ps)
@@ -178,12 +179,12 @@ class TestComputeWeights:
         base = m.L * (2.0 * 0.6 / 4.0)
         inv = [0.0] + [1.0 / tau for tau in range(1, 300)]
         for horizon in range(1, 301):
-            schedule = weight_schedule(horizon, m, 2.0, 4.0, 0.6)
-            assert [s.v for s in schedule] == [
+            v, w, lam = weight_schedule(horizon, m, 2.0, 4.0, 0.6)
+            assert v.tolist() == [
                 base * math.fsum(inv[t:horizon]) for t in range(1, horizon + 1)
             ]
-            assert [s.lam for s in schedule] == [base / t for t in range(1, horizon + 1)]
-            assert [s.w for s in schedule] == [m.g_at_max] + [m.f_at_max] * (horizon - 1)
+            assert lam.tolist() == [base / t for t in range(1, horizon + 1)]
+            assert w.tolist() == [m.g_at_max] + [m.f_at_max] * (horizon - 1)
 
     def test_argument_validation(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
