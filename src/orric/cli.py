@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """argparse type for float flags: non-numbers, NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _fmt(x: float) -> str:
     return format(x, _SIG)
 
@@ -69,11 +81,12 @@ def _write_json(path: Path, payload) -> None:
     write_atomic(path, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_schedule_csv(path: Path, trace, model, profiles) -> None:
+def _write_schedule_csv(path: Path, weights) -> None:
+    """Write the (v, w, lam) weight_schedule arrays as t,v,w,lambda rows."""
+    v, w, lam = weights
+    rows = zip(range(1, len(v) + 1), v.tolist(), w.tolist(), lam.tolist())
     lines = ["t,v,w,lambda"]
-    v, w, lam = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-    for t, row in enumerate(zip(v.tolist(), w.tolist(), lam.tolist()), 1):
-        lines.append(f"{t}," + ",".join(map(_fmt, row)))
+    lines += ["%d,%.12g,%.12g,%.12g" % row for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -120,7 +133,8 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
                 name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
             }
 
-    _write_schedule_csv(out_dir / "schedule.csv", trace, model, profiles)
+    weights = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    _write_schedule_csv(out_dir / "schedule.csv", weights)
     summary["schedule_csv"] = "schedule.csv"
     try:
         summary["bounds"] = bounds_report(model, profiles, trace.d_min, trace.d_max, trace.horizon)
@@ -155,13 +169,13 @@ def _add_trace_law_flags(parser) -> None:
     parser.add_argument("--T", type=int, default=None, help="number of slots")
     parser.add_argument("--d-law", choices=("constant", "uniform"), default="constant",
                         help="data volume law (default constant)")
-    parser.add_argument("--d", type=float, default=1000.0, help="data volume, or its lower bound under the uniform law")
-    parser.add_argument("--d-hi", type=float, default=None, help="upper volume bound for the uniform law")
+    parser.add_argument("--d", type=_finite, default=1000.0, help="data volume, or its lower bound under the uniform law")
+    parser.add_argument("--d-hi", type=_finite, default=None, help="upper volume bound for the uniform law")
     parser.add_argument("--law", choices=("constant", "uniform", "sufficient", "scarce"),
                         default="sufficient", help="capacity law (default sufficient)")
-    parser.add_argument("--c", type=float, default=None,
+    parser.add_argument("--c", type=_finite, default=None,
                         help="capacity, or its lower bound under the uniform law (constant law default: the --d value)")
-    parser.add_argument("--c-hi", type=float, default=None, help="upper capacity bound for the uniform law")
+    parser.add_argument("--c-hi", type=_finite, default=None, help="upper capacity bound for the uniform law")
     parser.add_argument("--seed", type=int, default=0, help="trace seed (default 0)")
 
 
@@ -294,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trace", default=None, help="trace CSV (alternative to the law flags)")
-    p.add_argument("--d-min", type=float, default=None, help="declared volume lower bound for a loaded trace")
-    p.add_argument("--d-max", type=float, default=None, help="declared volume upper bound for a loaded trace")
+    p.add_argument("--d-min", type=_finite, default=None, help="declared volume lower bound for a loaded trace")
+    p.add_argument("--d-max", type=_finite, default=None, help="declared volume upper bound for a loaded trace")
     _add_trace_law_flags(p)
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
     p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
@@ -306,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--d-min", type=float, default=None)
-    p.add_argument("--d-max", type=float, default=None)
+    p.add_argument("--d-min", type=_finite, default=None)
+    p.add_argument("--d-max", type=_finite, default=None)
     p.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)
@@ -315,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form worst-case ratio report")
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--d-min", type=float, required=True)
-    p.add_argument("--d-max", type=float, required=True)
+    p.add_argument("--d-min", type=_finite, required=True)
+    p.add_argument("--d-max", type=_finite, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
@@ -326,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="replay spec JSON (alternative to the label)")
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--f-at-max", type=float, default=None)
+    p.add_argument("--kappa", type=_finite, default=None)
+    p.add_argument("--f-at-max", type=_finite, default=None)
     p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
@@ -335,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search for curvature witnesses of both signs")
     p.add_argument("--model", required=True)
-    p.add_argument("--y-lo", type=float, required=True)
-    p.add_argument("--y-hi", type=float, required=True)
+    p.add_argument("--y-lo", type=_finite, required=True)
+    p.add_argument("--y-hi", type=_finite, required=True)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_witness)

@@ -3,21 +3,24 @@
 A run scores a decision sequence against a trace: each slot earns
 f(average historical retraining gain) times the slot's inference profit
 times its data volume, with slot 1 scored at f(0) because there is no
-history yet. The scorer checks and scores a whole run with array
-expressions, and its running sums and the run CSV's go through one Kahan
-prefix sum. The offline oracle is exact: it prunes partial retraining
-sequences to the Pareto frontier of (volume-weighted gain so far, score
-so far), with greedy inference per slot once retraining is fixed, and it
-is the denominator for empirical performance ratios.
+history yet. A run's decisions stay one (T, 2) array of 1-based menu
+indices from the policy through the scorer and the result to the run
+CSV. The scorer checks and scores a whole run with array expressions,
+and its running sums and the run CSV's go through one Kahan prefix sum.
+The offline oracle is exact: it prunes partial retraining sequences to
+the Pareto frontier of (volume-weighted gain so far, score so far), with
+greedy inference per slot once retraining is fixed, and it is the
+denominator for empirical performance ratios.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +54,7 @@ __all__ = [
     "write_run_csv",
 ]
 
-_SIG = ".12g"
+_RUN_ROW = "%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g"
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -104,14 +107,37 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A scored decision sequence."""
+    """A scored decision sequence.
 
-    decisions: DecisionSequence
+    indices holds the decisions as a read-only (T, 2) integer array of
+    1-based (retrain, infer) menu indices, copied from any (T, 2)
+    array-like; decisions is the same run as Decision tuples, built on
+    first access. Two results are equal when every field is.
+    """
+
+    indices: np.ndarray
     per_slot_perf: tuple[float, ...]
     total: float
     per_slot_budget_use: tuple[float, ...]
     policy: str = ""
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        indices = np.array(self.indices)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other) -> bool:
+        # an array compares element-wise, so the indices are compared whole
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "indices"
+        )
+
+    @cached_property
+    def decisions(self) -> DecisionSequence:
+        return tuple(Decision(i, j) for i, j in self.indices.tolist())
 
 
 def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
@@ -127,27 +153,31 @@ def _check_domain(profiles: ProfileSet, model: AccuracyModel) -> None:
 
 
 def evaluate_objective(
-    decisions: Sequence[Decision],
+    decisions,
     trace: Trace,
     profiles: ProfileSet,
     model: AccuracyModel,
 ) -> RunResult:
     """Score a complete decision sequence, enforcing the per-slot budget.
 
-    Every index is checked before any budget, so the first slot with a bad
-    index is reported even when an earlier slot is over its budget.
+    decisions is any (T, 2) array-like of 1-based (retrain, infer) menu
+    indices: a sequence of Decision tuples, or the integer array that
+    table_decisions returns. Every index is checked before any budget, so
+    the first slot with a bad index is reported even when an earlier slot
+    is over its budget.
     """
     horizon = trace.horizon
     if len(decisions) != horizon:
         raise ValueError(f"expected {horizon} decisions, got {len(decisions)}")
     _check_domain(profiles, model)
-    decisions = tuple(decisions)
-    index = np.array([(dec.retrain_index, dec.infer_index) for dec in decisions]) - 1
-    inside = (index >= 0) & (index < (profiles.m, profiles.n))
+    index = np.asarray(decisions)
+    if index.shape != (horizon, 2) or index.dtype.kind not in "iu":
+        raise ValueError("decisions must be (retrain, infer) pairs of integer menu indices")
+    inside = (index >= 1) & (index <= (profiles.m, profiles.n))
     if not inside.all():
         k = int(inside.all(axis=1).argmin())
-        raise ValueError(f"slot {k + 1}: decision indices {decisions[k]} outside the menus")
-    i, j = index.T
+        raise ValueError(f"slot {k + 1}: decision indices {Decision(*index[k].tolist())} outside the menus")
+    i, j = (index - 1).T
     menus = profiles.arrays
     d = np.array(trace.d)
     used = d * (menus.retrain_cost[i] + menus.infer_cost[j])
@@ -162,7 +192,7 @@ def evaluate_objective(
     x[1:] = np.minimum(np.maximum(np.divide(z[:-1], d_sum[:-1]), 0.0), model.domain_max)
     perfs = (model.eval(x) * menus.profit[j] * d).tolist()
     return RunResult(
-        decisions=decisions,
+        indices=index,
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(used.tolist()),
@@ -187,14 +217,12 @@ def run_policy(
     if policy == ORRIC:
         schedule = weight_schedule(horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
     u = np.array(trace.c) / np.array(trace.d)
-    decisions = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon, u, profiles, schedule)
+    indices = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon, u, profiles, schedule)
     meta: dict = {}
     if policy == KNOWLEDGE_DISTILLATION:
         top = (profiles.m, profiles.n)
-        meta["degraded_slots"] = [
-            t for t, dec in enumerate(decisions, 1) if (dec.retrain_index, dec.infer_index) != top
-        ]
-    result = evaluate_objective(tuple(decisions), trace, profiles, model)
+        meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
+    result = evaluate_objective(indices, trace, profiles, model)
     return replace(result, policy=policy, meta=meta)
 
 
@@ -264,11 +292,11 @@ def offline_optimal(
         peak = max(peak, kept.size)
 
     k = int(np.argmax(score))
-    choice = [0] * horizon
+    choice = np.empty(horizon, dtype=int)
     for t in range(horizon - 1, -1, -1):
         k, choice[t] = divmod(int(trail[t][k]), m)
-    decisions = tuple(Decision(i + 1, int(jbest[t, i]) + 1) for t, i in enumerate(choice))
-    result = evaluate_objective(decisions, trace, profiles, model)
+    indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
+    result = evaluate_objective(indices, trace, profiles, model)
     return replace(
         result,
         policy="oracle",
@@ -371,6 +399,9 @@ def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None)
         if reader.fieldnames != ["t", "d", "c"]:
             raise ValueError("trace CSV must have header t,d,c")
         for expected_t, row in enumerate(reader, 1):
+            # csv fills a short row with None and files extra fields under the key None
+            if None in row or None in row.values():
+                raise ValueError(f"trace CSV line {reader.line_num} needs t, d and c")
             if int(row["t"]) != expected_t:
                 raise ValueError(f"trace CSV slots must run 1..T, got {row['t']}")
             d.append(float(row["d"]))
@@ -399,12 +430,9 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 def write_run_csv(path, result: RunResult, trace: Trace) -> None:
     """Per-slot run report: t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity."""
+    u = np.array(trace.c) / np.array(trace.d)
+    rows = zip(range(1, trace.horizon + 1), *result.indices.T.tolist(), u.tolist(), result.per_slot_perf,
+               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, trace.c)
     lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
-    rows = zip(result.decisions, trace.d, trace.c, result.per_slot_perf,
-               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use)
-    for t, (dec, d, c, perf, cum, used) in enumerate(rows, 1):
-        lines.append(
-            f"{t},{dec.retrain_index},{dec.infer_index},{c / d:{_SIG}},"
-            f"{perf:{_SIG}},{cum:{_SIG}},{used:{_SIG}},{c:{_SIG}}"
-        )
+    lines += [_RUN_ROW % row for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")

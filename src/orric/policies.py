@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,9 +78,12 @@ class ScheduleWeights:
             raise ValueError("per-sample budget u must be positive")
 
 
-@dataclass(frozen=True)
-class Decision:
-    """1-based menu indices chosen for one slot."""
+class Decision(NamedTuple):
+    """1-based menu indices chosen for one slot.
+
+    A tuple, so a sequence of decisions and a (T, 2) integer array of
+    1-based indices are the same input to the scorer.
+    """
 
     retrain_index: int
     infer_index: int
@@ -209,13 +213,15 @@ def table_decisions(
     u: np.ndarray,
     profiles: ProfileSet,
     schedule: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> list[Decision]:
+) -> np.ndarray:
     """A named policy's decision for every row of a fit table.
 
     t holds the rows' 1-based slot numbers, u their per-sample budgets
     C_t / d_t and schedule (orric only) their weight_schedule arrays.
     Each rule picks a retraining index i and pairs it with jbest[row, i],
-    the most profitable inference entry that still fits.
+    the most profitable inference entry that still fits. Returns one
+    (i, j) row of 1-based indices per fit-table row, the (rows, 2)
+    integer array that evaluate_objective scores.
     """
     if policy == ORRIC:
         v, w, _ = schedule
@@ -242,7 +248,7 @@ def table_decisions(
     else:
         raise ValueError(f"unknown policy {policy!r}; known: {list(POLICIES)}")
     j = jbest[np.arange(len(jbest)), i]
-    return [Decision(a + 1, b + 1) for a, b in zip(i.tolist(), j.tolist())]
+    return np.column_stack((i, j)) + 1
 
 
 def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> Decision:
@@ -252,4 +258,5 @@ def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: Profil
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
     jbest = fit_table([1.0], [u], profiles)
-    return table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles)[0]
+    (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles).tolist()
+    return Decision(*row)

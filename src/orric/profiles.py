@@ -234,11 +234,15 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
                 raise ValueError(f"profile CSV must have header {','.join(expected)}")
             for row in reader:
                 kind = row["kind"].strip()
+                malformed = f"profile CSV line {reader.line_num} needs a kind and two numbers"
+                # csv files extra fields under the key None
+                if None in row:
+                    raise ValueError(malformed)
                 try:
                     payoff = float(row["gain_or_profit"])
                     cost = float(row["cost"])
                 except (TypeError, ValueError) as exc:
-                    raise ValueError(f"profile CSV line {reader.line_num} needs a kind and two numbers") from exc
+                    raise ValueError(malformed) from exc
                 if kind == "retrain":
                     retrain.append(RetrainConfig(payoff, cost))
                 elif kind == "infer":

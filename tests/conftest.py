@@ -21,7 +21,8 @@ from orric import (
     evaluate_objective,
     make_model,
 )
-from orric.engine import _check_domain
+from orric.cli import _fmt
+from orric.engine import _check_domain, _kahan_cumsum
 from orric.policies import fit_table
 
 FAMILY_POOL = ("linear", "shifted-power", "exponential-saturation", "shifted-log")
@@ -245,8 +246,32 @@ def reference_objective(decisions, trace, profiles, model) -> RunResult:
         d_sum.add(d_t)
     perfs = (model.eval(np.array(xs)) * np.array(profits) * np.array(trace.d)).tolist()
     return RunResult(
-        decisions=tuple(decisions),
+        indices=decisions,
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(budgets),
     )
+
+
+_SIG = ".12g"
+
+
+def reference_run_csv(result, trace) -> str:
+    """Reference run CSV text: the per-value f-string rows write_run_csv wrote before its % template."""
+    lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
+    rows = zip(result.decisions, trace.d, trace.c, result.per_slot_perf,
+               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use)
+    for t, (dec, d, c, perf, cum, used) in enumerate(rows, 1):
+        lines.append(
+            f"{t},{dec.retrain_index},{dec.infer_index},{c / d:{_SIG}},"
+            f"{perf:{_SIG}},{cum:{_SIG}},{used:{_SIG}},{c:{_SIG}}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_schedule_csv(v, w, lam) -> str:
+    """Reference schedule.csv text: the per-value rows the CLI wrote before its % template."""
+    lines = ["t,v,w,lambda"]
+    for t, row in enumerate(zip(v.tolist(), w.tolist(), lam.tolist()), 1):
+        lines.append(f"{t}," + ",".join(map(_fmt, row)))
+    return "\n".join(lines) + "\n"

@@ -127,8 +127,8 @@ class TestPrune:
         assert rc == 1
         assert "retrain entry 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["retrain,0.5", "retrain,0.5,", "infer,,1.0"],
-                             ids=["short", "blank-cost", "blank-payoff"])
+    @pytest.mark.parametrize("row", ["retrain,0.5", "retrain,0.5,", "infer,,1.0", "retrain,0.5,3.0,99"],
+                             ids=["short", "blank-cost", "blank-payoff", "extra-field"])
     def test_malformed_menu_csv_row(self, tmp_path, capsys, row):
         raw = tmp_path / "raw.csv"
         raw.write_text(f"kind,gain_or_profit,cost\ninfer,1.0,1.0\n{row}\n")
@@ -305,6 +305,17 @@ class TestRun:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["2,1", "2,1,5,7"], ids=["short", "extra-field"])
+    def test_malformed_trace_row(self, tmp_path, worked_files, capsys, row):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,d,c\n1,1,12\n{row}\n")
+        rc = main(["run",
+                   "--profiles", str(worked_files / "profiles.json"),
+                   "--model", str(worked_files / "model.json"),
+                   "--trace", str(trace),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "trace CSV line 3 needs t, d and c" in capsys.readouterr().err
 
     def test_non_finite_L(self, tmp_path, worked_files, capsys):
         model = json.loads((worked_files / "model.json").read_text())
@@ -318,6 +329,29 @@ class TestRun:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--d", "--d-hi", "--c", "--c-hi", "--d-min", "--d-max",
+                                  "--kappa", "--f-at-max", "--y-lo", "--y-hi"])
+def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
+    # each command is valid as given; the flag added last overrides any earlier value
+    profiles, model = str(worked_files / "profiles.json"), str(worked_files / "model.json")
+    gen_trace = ["gen-trace", "--T", "3", "--d-law", "uniform", "--d", "1", "--d-hi", "2",
+                 "--law", "uniform", "--c", "20", "--c-hi", "30", "--out", str(tmp_path / "t.csv")]
+    bounds = ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "2", "--T", "4"]
+    command = {
+        "--d": gen_trace, "--d-hi": gen_trace, "--c": gen_trace, "--c-hi": gen_trace,
+        "--d-min": bounds, "--d-max": bounds,
+        "--kappa": ["replay", "fog", "--T", "2", "--out", str(tmp_path / "r")],
+        "--f-at-max": ["replay", "fog", "--T", "2", "--out", str(tmp_path / "r")],
+        "--y-lo": ["witness", "--model", model, "--y-lo", "0.5", "--y-hi", "1"],
+        "--y-hi": ["witness", "--model", model, "--y-lo", "0.5", "--y-hi", "1"],
+    }[flag]
+    assert main(command) == 0
+    capsys.readouterr()
+    assert main([*command, flag, value]) == 1
+    assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
 
 
 class TestOracle:

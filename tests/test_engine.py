@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from orric import (
     write_run_csv,
     write_trace_csv,
 )
+from orric.cli import _write_schedule_csv
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     enumerate_optimal,
@@ -37,6 +40,8 @@ from conftest import (
     random_model,
     random_profileset,
     reference_objective,
+    reference_run_csv,
+    reference_schedule_csv,
 )
 
 
@@ -123,6 +128,9 @@ class TestEvaluateObjective:
             evaluate_objective(
                 (Decision(1, 0), Decision(1, 1)), worked_trace, worked_profiles, worked_model
             )
+        for malformed in (np.ones((2, 3), dtype=int), np.ones((2, 2)), ((1,), (1,))):
+            with pytest.raises(ValueError, match="integer menu indices"):
+                evaluate_objective(malformed, worked_trace, worked_profiles, worked_model)
 
     def test_domain_guard(self, worked_trace, worked_model):
         ps = ProfileSet(retrain=[(0.0, 0.0), (1.0, 10.0)], infer=[(0.6, 2.0), (1.0, 5.0)])
@@ -438,6 +446,48 @@ class TestRunCSV:
         assert lines[0] == "t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"
         assert lines[1] == "1,2,1,12,0.3,0.3,12,12"
         assert lines[2] == "2,1,2,5,0.8,1.1,5,5"
+
+    def test_templates_match_f_string_reference(self, tmp_path):
+        # values where .12g output is easy to get wrong: signed zero, subnormals,
+        # large integers, and both sides of the switch to exponent form
+        special = [-0.0, 0.0, 5e-324, 2.5e-310, 1e12, 123456789012345.0, 999999999999.5,
+                   1e15, 1e16, 1e17, 1e-5, 9.999999999995e-05, 1e-4, 0.30000000000000004]
+        rng = np.random.default_rng(71)
+
+        def mixed(size):
+            # random doubles over many decades, about a third of them special
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+            pick = rng.random(size) < 0.35
+            values[pick] = rng.choice(special, int(pick.sum()))
+            return values
+
+        for k in range(30):
+            ps = random_profileset(rng, max_m=6, max_n=6)
+            model = random_model(rng, 1.0)
+            trace = random_feasible_trace(rng, ps, int(rng.integers(1, 400)))
+            result = run_policy(POLICIES[k % len(POLICIES)], trace, ps, model)
+            # a Decision tuple and the index array are the same scorer input
+            assert result.indices.dtype.kind == "i" and not result.indices.flags.writeable
+            assert result.decisions == tuple(Decision(*row) for row in result.indices.tolist())
+            assert np.array_equal(np.array(result.decisions), result.indices)
+            by_tuple = evaluate_objective(result.decisions, trace, ps, model)
+            assert by_tuple == evaluate_objective(result.indices, trace, ps, model)
+            assert by_tuple.decisions == result.decisions
+
+            horizon = trace.horizon
+            d = rng.choice([1e-5, 0.1, 1.0, 3.0, 7.0, 1e12], horizon)
+            c = np.abs(mixed(horizon))
+            c[rng.random(horizon) < 0.2] = -0.0
+            odd_trace = Trace(d=tuple(d), c=tuple(c), d_min=1e-5, d_max=1e12)
+            for res, tr in ((result, trace), (replace(result, per_slot_perf=tuple(mixed(horizon).tolist()),
+                                                      per_slot_budget_use=tuple(mixed(horizon).tolist())),
+                                              odd_trace)):
+                write_run_csv(tmp_path / "run.csv", res, tr)
+                assert (tmp_path / "run.csv").read_bytes() == reference_run_csv(res, tr).encode()
+
+            weights = (mixed(horizon), mixed(horizon), mixed(horizon))
+            _write_schedule_csv(tmp_path / "schedule.csv", weights)
+            assert (tmp_path / "schedule.csv").read_bytes() == reference_schedule_csv(*weights).encode()
 
 
 class TestAtomicWrites:
