@@ -20,15 +20,15 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
+    RunPlan,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
-    run_policy,
     write_run_csv,
     write_trace_csv,
 )
 from .errors import CapExceededError, InfeasibleError
-from .policies import KNOWLEDGE_DISTILLATION, POLICIES, weight_schedule
+from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
@@ -55,6 +55,29 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for integer flags that must lie in lo..hi (no upper bound when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_in(0)
+# the trace generator's Philox key is a 128-bit unsigned integer
+_seed = _int_in(0, 2**128 - 1)
+# nonconvexity_witness holds grid^4 doubles per alpha: 128 MiB at 64
+_grid_points = _int_in(2, 64)
 
 
 def _fmt(x: float) -> str:
@@ -103,10 +126,11 @@ def _parse_policies(text: str) -> list[str]:
 def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> None:
     """Run the policies and the oracle, write every artefact and print the totals."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    plan = RunPlan(trace, profiles, model)
     summary: dict = {"inputs": inputs, "policies": {}}
     totals: dict[str, float] = {}
     for name in policies:
-        result = run_policy(name, trace, profiles, model)
+        result = plan.run(name)
         csv_name = f"{name}.csv"
         write_run_csv(out_dir / csv_name, result, trace)
         entry: dict = {"total": result.total, "csv": csv_name}
@@ -118,7 +142,7 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
     summary["oracle"] = {"skipped": "oracle disabled (cap 0)"}
     if oracle_cap > 0:
         try:
-            oracle = offline_optimal(trace, profiles, model, cap=oracle_cap)
+            oracle = plan.oracle(oracle_cap)
         except CapExceededError as exc:
             summary["oracle"] = {"skipped": str(exc)}
         else:
@@ -133,8 +157,7 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
                 name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
             }
 
-    weights = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-    _write_schedule_csv(out_dir / "schedule.csv", weights)
+    _write_schedule_csv(out_dir / "schedule.csv", plan.schedule)
     summary["schedule_csv"] = "schedule.csv"
     try:
         summary["bounds"] = bounds_report(model, profiles, trace.d_min, trace.d_max, trace.horizon)
@@ -176,7 +199,7 @@ def _add_trace_law_flags(parser) -> None:
     parser.add_argument("--c", type=_finite, default=None,
                         help="capacity, or its lower bound under the uniform law (constant law default: the --d value)")
     parser.add_argument("--c-hi", type=_finite, default=None, help="upper capacity bound for the uniform law")
-    parser.add_argument("--seed", type=int, default=0, help="trace seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="trace seed (default 0)")
 
 
 def cmd_gen_trace(args) -> int:
@@ -312,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=_finite, default=None, help="declared volume upper bound for a loaded trace")
     _add_trace_law_flags(p)
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
-    p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--oracle-cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_run)
 
@@ -322,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--d-min", type=_finite, default=None)
     p.add_argument("--d-max", type=_finite, default=None)
-    p.add_argument("--cap", type=int, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)
 
@@ -339,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corruption", nargs="?", default=None, help="corruption label from the shipped table")
     p.add_argument("--spec", default=None, help="replay spec JSON (alternative to the label)")
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--kappa", type=_finite, default=None)
     p.add_argument("--f-at-max", type=_finite, default=None)
     p.add_argument("--policies", default=",".join(POLICIES))
-    p.add_argument("--oracle-cap", type=int, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--oracle-cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_replay)
 
@@ -351,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--y-lo", type=_finite, required=True)
     p.add_argument("--y-hi", type=_finite, required=True)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=_grid_points, default=32, help="lattice points per axis, 2..64 (default 32)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_witness)
 

@@ -10,7 +10,10 @@ and its running sums and the run CSV's go through one Kahan prefix sum.
 The offline oracle is exact: it prunes partial retraining sequences to
 the Pareto frontier of (volume-weighted gain so far, score so far), with
 greedy inference per slot once retraining is fixed, and it is the
-denominator for empirical performance ratios.
+denominator for empirical performance ratios. What a run's policies, its
+oracle and its writers share is built once: a Trace caches its array
+view and its run-CSV columns, and a RunPlan holds the fit table and the
+weight schedule.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +57,8 @@ __all__ = [
     "write_run_csv",
 ]
 
-_RUN_ROW = "%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g"
+# u and capacity are spliced in as the trace's pre-formatted %.12g text
+_RUN_ROW = "%d,%d,%d,%s,%.12g,%.12g,%.12g,%s"
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -71,6 +75,15 @@ def _kahan_cumsum(values) -> list[float]:
         total = t
         sums.append(total)
     return sums
+
+
+class TraceArrays(NamedTuple):
+    """Read-only numpy columns of a Trace: volumes, capacities, C/d, and Kahan prefix sums of d."""
+
+    d: np.ndarray
+    c: np.ndarray
+    u: np.ndarray
+    d_sum: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,20 @@ class Trace:
     @property
     def horizon(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def arrays(self) -> TraceArrays:
+        """The trace as read-only arrays, built on first use and shared by every reader."""
+        d, c = np.array(self.d), np.array(self.c)
+        view = TraceArrays(d, c, c / d, np.array(_kahan_cumsum(self.d)))
+        for column in view:
+            column.flags.writeable = False
+        return view
+
+    @cached_property
+    def _run_csv_columns(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The run CSV's u and capacity columns as %.12g text, formatted on the first write."""
+        return tuple(["%.12g" % x for x in self.arrays.u.tolist()]), tuple(["%.12g" % x for x in self.c])
 
 
 @dataclass(frozen=True)
@@ -142,7 +169,8 @@ class RunResult:
 
 def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
     """Every slot must afford at least the cheapest inference configuration."""
-    fit_table(trace.d, trace.c, profiles)
+    view = trace.arrays
+    fit_table(view.d, view.c, profiles)
 
 
 def _check_domain(profiles: ProfileSet, model: AccuracyModel) -> None:
@@ -179,17 +207,17 @@ def evaluate_objective(
         raise ValueError(f"slot {k + 1}: decision indices {Decision(*index[k].tolist())} outside the menus")
     i, j = (index - 1).T
     menus = profiles.arrays
-    d = np.array(trace.d)
+    view = trace.arrays
+    d = view.d
     used = d * (menus.retrain_cost[i] + menus.infer_cost[j])
-    over = used > trace.c
+    over = used > view.c
     if over.any():
         k = int(over.argmax())
         raise InfeasibleError(f"slot {k + 1}: decision uses {float(used[k])} of capacity {trace.c[k]}")
     z = _kahan_cumsum((d * menus.gain[i]).tolist())
-    d_sum = _kahan_cumsum(trace.d)
     # slot 1 has no history; the clip is a roundoff guard, as x is inside [0, max_gain]
     x = np.zeros(horizon)
-    x[1:] = np.minimum(np.maximum(np.divide(z[:-1], d_sum[:-1]), 0.0), model.domain_max)
+    x[1:] = np.minimum(np.maximum(np.divide(z[:-1], view.d_sum[:-1]), 0.0), model.domain_max)
     perfs = (model.eval(x) * menus.profit[j] * d).tolist()
     return RunResult(
         indices=index,
@@ -197,6 +225,98 @@ def evaluate_objective(
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(used.tolist()),
     )
+
+
+class RunPlan:
+    """What one run's policies, oracle and writers share, built once per run.
+
+    It holds the trace's fit table and builds orric's weight schedule on
+    first use. The plan reads the trace, the menus and the model it was
+    built from; none of them may change while it is in use.
+    """
+
+    def __init__(self, trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> None:
+        self.trace, self.profiles, self.model = trace, profiles, model
+        view = trace.arrays
+        self.jbest = fit_table(view.d, view.c, profiles)
+        self.jbest.flags.writeable = False
+
+    @cached_property
+    def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only weight_schedule arrays (v, w, lam) of the trace's horizon and volume bounds."""
+        trace = self.trace
+        weights = weight_schedule(trace.horizon, self.model, trace.d_min, trace.d_max, self.profiles.min_profit)
+        for column in weights:
+            column.flags.writeable = False
+        return weights
+
+    def run(self, policy: str) -> RunResult:
+        """A named policy's decisions for every slot, scored (see run_policy)."""
+        trace, profiles = self.trace, self.profiles
+        horizon = trace.horizon
+        schedule = self.schedule if policy == ORRIC else None
+        indices = table_decisions(policy, self.jbest, np.arange(1, horizon + 1), horizon,
+                                  trace.arrays.u, profiles, schedule)
+        meta: dict = {}
+        if policy == KNOWLEDGE_DISTILLATION:
+            top = (profiles.m, profiles.n)
+            meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
+        result = evaluate_objective(indices, trace, profiles, self.model)
+        return replace(result, policy=policy, meta=meta)
+
+    def oracle(self, cap: int) -> RunResult:
+        """The exact offline optimum (see offline_optimal)."""
+        trace, profiles, model, jbest = self.trace, self.profiles, self.model, self.jbest
+        _check_domain(profiles, model)
+        m, horizon = profiles.m, trace.horizon
+        total_sequences = m**horizon
+        if total_sequences > cap:
+            raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
+
+        menus = profiles.arrays
+        d = trace.arrays.d
+        fits = jbest >= 0
+        slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
+        # an unaffordable pair gets z = -inf: it sorts last and is never kept
+        dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
+        d_cum = np.cumsum(d)
+
+        z = np.zeros(1)
+        score = np.zeros(1)
+        trail: list[np.ndarray] = []
+        peak = 1
+        for t in range(horizon):
+            x = z / d_cum[t - 1] if t else z
+            fx = model.eval(np.clip(x, 0.0, model.domain_max))
+            # candidate k * m + i extends state k by retraining choice i, so
+            # candidates are in prefix order when the states are
+            zc = (z[:, None] + dz[t]).ravel()
+            sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
+            # z descending, then score descending; the stable sort keeps prefix order within ties
+            order = np.lexsort((-sc, -zc))
+            zs, ss = zc[order], sc[order]
+            # drop a state when one sorted before it (so with at least its z) scores
+            # strictly more, or when it repeats its predecessor's z: that earlier
+            # prefix scores at least as much
+            keep = np.empty(order.size, dtype=bool)
+            keep[0] = True
+            keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
+            kept = np.sort(order[keep])
+            z, score = zc[kept], sc[kept]
+            trail.append(kept)
+            peak = max(peak, kept.size)
+
+        k = int(np.argmax(score))
+        choice = np.empty(horizon, dtype=int)
+        for t in range(horizon - 1, -1, -1):
+            k, choice[t] = divmod(int(trail[t][k]), m)
+        indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
+        result = evaluate_objective(indices, trace, profiles, model)
+        return replace(
+            result,
+            policy="oracle",
+            meta={"enumerated_sequences": total_sequences, "frontier_peak": peak},
+        )
 
 
 def run_policy(
@@ -211,19 +331,7 @@ def run_policy(
     never on realized performance, so the sequence is built first and
     scored with evaluate_objective afterwards.
     """
-    jbest = fit_table(trace.d, trace.c, profiles)
-    horizon = trace.horizon
-    schedule = None
-    if policy == ORRIC:
-        schedule = weight_schedule(horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-    u = np.array(trace.c) / np.array(trace.d)
-    indices = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon, u, profiles, schedule)
-    meta: dict = {}
-    if policy == KNOWLEDGE_DISTILLATION:
-        top = (profiles.m, profiles.n)
-        meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
-    result = evaluate_objective(indices, trace, profiles, model)
-    return replace(result, policy=policy, meta=meta)
+    return RunPlan(trace, profiles, model).run(policy)
 
 
 def offline_optimal(
@@ -251,57 +359,7 @@ def offline_optimal(
     reported as meta["enumerated_sequences"], must not exceed cap.
     meta["frontier_peak"] is the largest number of states kept after a slot.
     """
-    jbest = fit_table(trace.d, trace.c, profiles)
-    _check_domain(profiles, model)
-    m, horizon = profiles.m, trace.horizon
-    total_sequences = m**horizon
-    if total_sequences > cap:
-        raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
-
-    menus = profiles.arrays
-    d = np.array(trace.d)
-    fits = jbest >= 0
-    slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
-    # an unaffordable pair gets z = -inf: it sorts last and is never kept
-    dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
-    d_cum = np.cumsum(d)
-
-    z = np.zeros(1)
-    score = np.zeros(1)
-    trail: list[np.ndarray] = []
-    peak = 1
-    for t in range(horizon):
-        x = z / d_cum[t - 1] if t else z
-        fx = model.eval(np.clip(x, 0.0, model.domain_max))
-        # candidate k * m + i extends state k by retraining choice i, so
-        # candidates are in prefix order when the states are
-        zc = (z[:, None] + dz[t]).ravel()
-        sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
-        # z descending, then score descending; the stable sort keeps prefix order within ties
-        order = np.lexsort((-sc, -zc))
-        zs, ss = zc[order], sc[order]
-        # drop a state when one sorted before it (so with at least its z) scores
-        # strictly more, or when it repeats its predecessor's z: that earlier
-        # prefix scores at least as much
-        keep = np.empty(order.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
-        kept = np.sort(order[keep])
-        z, score = zc[kept], sc[kept]
-        trail.append(kept)
-        peak = max(peak, kept.size)
-
-    k = int(np.argmax(score))
-    choice = np.empty(horizon, dtype=int)
-    for t in range(horizon - 1, -1, -1):
-        k, choice[t] = divmod(int(trail[t][k]), m)
-    indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-    result = evaluate_objective(indices, trace, profiles, model)
-    return replace(
-        result,
-        policy="oracle",
-        meta={"enumerated_sequences": total_sequences, "frontier_peak": peak},
-    )
+    return RunPlan(trace, profiles, model).oracle(cap)
 
 
 def mixture_gap(f: Callable[[float], float], x1, x2, y1, y2, alpha: float) -> float:
@@ -430,9 +488,9 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 def write_run_csv(path, result: RunResult, trace: Trace) -> None:
     """Per-slot run report: t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity."""
-    u = np.array(trace.c) / np.array(trace.d)
-    rows = zip(range(1, trace.horizon + 1), *result.indices.T.tolist(), u.tolist(), result.per_slot_perf,
-               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, trace.c)
+    u_text, c_text = trace._run_csv_columns
+    rows = zip(range(1, trace.horizon + 1), *result.indices.T.tolist(), u_text, result.per_slot_perf,
+               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, c_text)
     lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
     lines += [_RUN_ROW % row for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")

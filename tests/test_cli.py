@@ -5,17 +5,31 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import orric.cli as cli
 from orric import (
+    POLICIES,
+    Decision,
     ProfileSet,
+    ReplaySpec,
     Trace,
+    build_replay,
+    generate_trace,
+    load_model,
+    load_profiles,
     make_model,
+    offline_optimal,
+    read_trace_csv,
+    run_policy,
     save_model,
     save_profiles,
     write_trace_csv,
 )
 from orric.cli import main
+from orric.policies import ORRIC, fit_table, table_decisions, weight_schedule
+from conftest import reference_objective, reference_run_csv, reference_schedule_csv
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +368,83 @@ def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
     assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("run", "--oracle-cap", "-1", "must be >= 0, got -1"),
+    ("replay", "--oracle-cap", "-1", "must be >= 0, got -1"),
+    ("oracle", "--cap", "-1", "must be >= 0, got -1"),
+    ("run", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
+    ("replay", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
+    ("gen-trace", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
+    ("replay", "--seed", str(2**128), f"must be in 0..{2**128 - 1}, got {2**128}"),
+])
+def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, value, message):
+    # each command is valid as given; the flag added last overrides any earlier value
+    profiles, model, out = str(worked_files / "profiles.json"), str(worked_files / "model.json"), str(tmp_path / "o")
+    argv = {
+        "run": ["run", "--profiles", profiles, "--model", model, "--T", "2", "--law", "sufficient",
+                "--d", "1", "--out", out],
+        "replay": ["replay", "fog", "--T", "2", "--out", out],
+        "oracle": ["oracle", "--profiles", profiles, "--model", model,
+                   "--trace", str(worked_files / "trace.csv")],
+        "gen-trace": ["gen-trace", "--T", "2", "--law", "constant", "--c", "2", "--out", out],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, flag, value]) == 1
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+class TestSharedPlan:
+    """Every file a run writes from its shared plan equals the public per-policy path's."""
+
+    @staticmethod
+    def independent_csv(name, trace, profiles, model):
+        # decisions from the raw trace tuples and a fresh schedule, scored slot by slot
+        horizon = trace.horizon
+        schedule = None
+        if name == ORRIC:
+            schedule = weight_schedule(horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+        u = np.array(trace.c) / np.array(trace.d)
+        indices = table_decisions(name, fit_table(trace.d, trace.c, profiles), np.arange(1, horizon + 1),
+                                  horizon, u, profiles, schedule)
+        decisions = tuple(Decision(*row) for row in indices.tolist())
+        return reference_run_csv(reference_objective(decisions, trace, profiles, model), trace)
+
+    def check_run_dir(self, out, trace, profiles, model, oracle: bool):
+        for name in POLICIES:
+            written = (out / f"{name}.csv").read_text()
+            assert written == reference_run_csv(run_policy(name, trace, profiles, model), trace), name
+            assert written == self.independent_csv(name, trace, profiles, model), name
+        assert (out / "oracle.csv").exists() == oracle
+        if oracle:
+            expected = reference_run_csv(offline_optimal(trace, profiles, model), trace)
+            assert (out / "oracle.csv").read_text() == expected
+        weights = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+        assert (out / "schedule.csv").read_text() == reference_schedule_csv(*weights)
+
+    @pytest.mark.parametrize("label, horizon, oracle", [
+        ("fog", 50, False), ("contrast", 50, False), ("speckle noise", 50, False),
+        ("gaussian noise", 8, True),
+    ])
+    def test_replay(self, tmp_path, label, horizon, oracle):
+        out = tmp_path / "replay"
+        assert main(["replay", label, "--T", str(horizon), "--out", str(out)]) == 0
+        profiles, model, trace_spec = build_replay(ReplaySpec(corruption=label, horizon=horizon))
+        trace = generate_trace(trace_spec, profiles)
+        assert load_profiles(out / "profiles.json") == profiles
+        assert load_model(out / "model.json") == model
+        self.check_run_dir(out, trace, profiles, model, oracle)
+
+    def test_worked_run(self, tmp_path, worked_files):
+        out = tmp_path / "run"
+        assert main(["run", "--profiles", str(worked_files / "profiles.json"),
+                     "--model", str(worked_files / "model.json"),
+                     "--trace", str(worked_files / "trace.csv"), "--out", str(out)]) == 0
+        self.check_run_dir(out, read_trace_csv(worked_files / "trace.csv"),
+                           load_profiles(worked_files / "profiles.json"),
+                           load_model(worked_files / "model.json"), oracle=True)
+
+
 class TestOracle:
     def test_prints_total(self, tmp_path, worked_files, capsys):
         out = tmp_path / "oracle.csv"
@@ -459,6 +550,27 @@ class TestWitness:
         report = json.loads(out.read_text())
         assert report["positive"]["gap"] > 0.0
         assert report["negative"]["gap"] < 0.0
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1", "65", "1000000"])
+    def test_grid_out_of_bounds(self, tmp_path, monkeypatch, capsys, grid):
+        # a rejected grid must never reach the search, which holds grid^4 doubles per alpha
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "nonconvexity_witness", unreachable)
+        model = tmp_path / "model.json"
+        save_model(model, make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0))
+        rc = main(["witness", "--model", str(model), "--y-lo", "0.5", "--y-hi", "1", "--grid", grid])
+        assert rc == 1
+        assert f"argument --grid: must be in 2..64, got {grid}" in capsys.readouterr().err
+
+    def test_smallest_grid(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        save_model(model, make_model(
+            "exponential-saturation", {"limit": 0.8, "scale": 0.3, "rate": 2.0}, 1.0))
+        rc = main(["witness", "--model", str(model), "--y-lo", "0.5", "--y-hi", "1", "--grid", "2"])
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"positive", "negative"}
 
     def test_flat_curve_reports_nulls(self, tmp_path, capsys):
         model = tmp_path / "flat.json"

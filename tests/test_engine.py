@@ -32,6 +32,7 @@ from orric import (
     write_trace_csv,
 )
 from orric.cli import _write_schedule_csv
+from orric.engine import _kahan_cumsum
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     enumerate_optimal,
@@ -48,6 +49,18 @@ from conftest import (
 class TestTrace:
     def test_horizon(self, worked_trace):
         assert worked_trace.horizon == 2
+
+    def test_array_view(self):
+        trace = Trace(d=(2.0, 0.1, 3.0), c=(7.0, 0.3, 1.0), d_min=0.1, d_max=3.0)
+        view = trace.arrays
+        assert trace.arrays is view
+        assert view.d.tolist() == list(trace.d) and view.c.tolist() == list(trace.c)
+        assert view.u.tolist() == [c / d for d, c in zip(trace.d, trace.c)]
+        assert view.d_sum.tolist() == _kahan_cumsum(trace.d)
+        assert not any(column.flags.writeable for column in view)
+        # the cache belongs to the object: an equal trace builds its own view
+        twin = replace(trace)
+        assert twin == trace and twin.arrays is not view
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import orric.cli as cli
 import orric.engine as engine
+import orric.policies as policies
 from orric.policies import POLICIES
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -52,3 +55,37 @@ def test_scoring_calls_the_traced_name(monkeypatch, worked_profiles, worked_mode
     calls.clear()
     engine.offline_optimal(worked_trace, worked_profiles, worked_model)
     assert len(calls) == 1
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind fn, in every loaded orric module that holds it, to a wrapper that logs each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orric" or name.startswith("orric."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_run_shares_its_inputs(monkeypatch, tmp_path):
+    # a run scores and writes through the traced names, and builds the fit table
+    # and the weight schedule once; at T = 8 the default cap lets the oracle run
+    traced = {entry for names in traced_names().values() for entry in names}
+    assert {("orric.engine", "evaluate_objective"), ("orric.engine", "write_run_csv")} <= traced
+    calls = {
+        fn.__name__: count_calls(monkeypatch, fn)
+        for fn in (engine.evaluate_objective, engine.write_run_csv, policies.fit_table, policies.weight_schedule)
+    }
+    assert cli.main(["replay", "fog", "--T", "8", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "oracle.csv").exists()
+    assert len(calls["evaluate_objective"]) == len(POLICIES) + 1
+    assert len(calls["write_run_csv"]) == len(POLICIES) + 1
+    # generate_trace's feasibility check and the run's plan
+    assert len(calls["fit_table"]) <= 2
+    assert len(calls["weight_schedule"]) == 1
