@@ -30,7 +30,7 @@ from .engine import (
 from .errors import CapExceededError, InfeasibleError
 from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
-from .scenario import ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
+from .scenario import SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
 _SIG = ".12g"
 _CAP_HELP = "largest retraining-sequence space m^T the oracle accepts; 0 disables"
@@ -74,8 +74,7 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 _non_negative = _int_in(0)
-# the trace generator's Philox key is a 128-bit unsigned integer
-_seed = _int_in(0, 2**128 - 1)
+_seed = _int_in(0, SEED_MAX)
 # nonconvexity_witness holds grid^4 doubles per alpha: 128 MiB at 64
 _grid_points = _int_in(2, 64)
 
@@ -170,40 +169,12 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
     print(f"oracle: {_fmt(oracle['total'])}" if "total" in oracle else f"oracle skipped: {oracle['skipped']}")
 
 
-def _trace_spec_from_args(args) -> TraceSpec:
-    if args.T is None:
-        raise ValueError("need --T to generate a trace")
+def cmd_gen_trace(args) -> int:
     c_lo = args.c
     if args.law == "constant" and c_lo is None:
         c_lo = args.d  # unit per-sample budget placeholder
-    return TraceSpec(
-        horizon=args.T,
-        d_law=args.d_law,
-        d_lo=args.d,
-        d_hi=args.d_hi,
-        c_law=args.law,
-        c_lo=c_lo,
-        c_hi=args.c_hi,
-        seed=args.seed,
-    )
-
-
-def _add_trace_law_flags(parser) -> None:
-    parser.add_argument("--T", type=int, default=None, help="number of slots")
-    parser.add_argument("--d-law", choices=("constant", "uniform"), default="constant",
-                        help="data volume law (default constant)")
-    parser.add_argument("--d", type=_finite, default=1000.0, help="data volume, or its lower bound under the uniform law")
-    parser.add_argument("--d-hi", type=_finite, default=None, help="upper volume bound for the uniform law")
-    parser.add_argument("--law", choices=("constant", "uniform", "sufficient", "scarce"),
-                        default="sufficient", help="capacity law (default sufficient)")
-    parser.add_argument("--c", type=_finite, default=None,
-                        help="capacity, or its lower bound under the uniform law (constant law default: the --d value)")
-    parser.add_argument("--c-hi", type=_finite, default=None, help="upper capacity bound for the uniform law")
-    parser.add_argument("--seed", type=_seed, default=0, help="trace seed (default 0)")
-
-
-def cmd_gen_trace(args) -> int:
-    spec = _trace_spec_from_args(args)
+    spec = TraceSpec(horizon=args.T, d_law=args.d_law, d_lo=args.d, d_hi=args.d_hi,
+                     c_law=args.law, c_lo=c_lo, c_hi=args.c_hi, seed=args.seed)
     profiles = load_profiles(args.profiles) if args.profiles else None
     if profiles is None and spec.c_law in ("sufficient", "scarce"):
         raise ValueError(f"capacity law {spec.c_law!r} needs --profiles")
@@ -225,33 +196,24 @@ def cmd_prune(args) -> int:
 
 def cmd_run(args) -> int:
     policies = _parse_policies(args.policies)
-    out_dir = Path(args.out)
     profiles = load_profiles(args.profiles)
     model = load_model(args.model)
-    if args.trace is not None:
-        trace = read_trace_csv(args.trace, d_min=args.d_min, d_max=args.d_max)
-        trace_input = {"trace": args.trace}
-    else:
-        spec = _trace_spec_from_args(args)
-        trace = generate_trace(spec, profiles)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(out_dir / "trace.csv", trace)
-        trace_input = {"trace_spec": dataclasses.asdict(spec)}
+    trace = read_trace_csv(args.trace, d_min=args.d_min, d_max=args.d_max)
     inputs = {
         "profiles": str(args.profiles),
         "model": str(args.model),
         "policies": policies,
         "oracle_cap": args.oracle_cap,
-        **trace_input,
+        "trace": args.trace,
     }
-    _execute_run(out_dir, profiles, model, trace, policies, args.oracle_cap, inputs)
+    _execute_run(Path(args.out), profiles, model, trace, policies, args.oracle_cap, inputs)
     return 0
 
 
 def cmd_oracle(args) -> int:
     profiles = load_profiles(args.profiles)
     model = load_model(args.model)
-    trace = read_trace_csv(args.trace, d_min=args.d_min, d_max=args.d_max)
+    trace = read_trace_csv(args.trace)
     result = offline_optimal(trace, profiles, model, cap=args.cap)
     if args.out:
         write_run_csv(args.out, result, trace)
@@ -273,6 +235,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.spec is not None and args.corruption is not None:
+        raise ValueError(f"got both the corruption label {args.corruption!r} and --spec {args.spec}; give one")
     if args.spec is not None:
         spec = load_replay_spec(args.spec)
     elif args.corruption is not None:
@@ -315,7 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-trace", help="draw a trace from a law and write it as CSV")
-    _add_trace_law_flags(p)
+    p.add_argument("--T", type=int, required=True, help="number of slots")
+    p.add_argument("--d-law", choices=("constant", "uniform"), default="constant",
+                   help="data volume law (default constant)")
+    p.add_argument("--d", type=_finite, default=1000.0, help="data volume, or its lower bound under the uniform law")
+    p.add_argument("--d-hi", type=_finite, default=None, help="upper volume bound for the uniform law")
+    p.add_argument("--law", choices=("constant", "uniform", "sufficient", "scarce"),
+                   default="sufficient", help="capacity law (default sufficient)")
+    p.add_argument("--c", type=_finite, default=None,
+                   help="capacity, or its lower bound under the uniform law (constant law default: the --d value)")
+    p.add_argument("--c-hi", type=_finite, default=None, help="upper capacity bound for the uniform law")
+    p.add_argument("--seed", type=_seed, default=0, help="trace seed (default 0)")
     p.add_argument("--profiles", default=None, help="profile file, needed for menu-derived capacity laws")
     p.add_argument("--out", required=True, help="output trace CSV")
     p.set_defaults(func=cmd_gen_trace)
@@ -330,10 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run policies over a trace and write per-slot CSVs plus a summary")
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--trace", default=None, help="trace CSV (alternative to the law flags)")
-    p.add_argument("--d-min", type=_finite, default=None, help="declared volume lower bound for a loaded trace")
-    p.add_argument("--d-max", type=_finite, default=None, help="declared volume upper bound for a loaded trace")
-    _add_trace_law_flags(p)
+    p.add_argument("--trace", required=True, help="trace CSV, e.g. from gen-trace")
+    p.add_argument("--d-min", type=_finite, default=None,
+                   help="declared volume lower bound (default: the trace's least volume)")
+    p.add_argument("--d-max", type=_finite, default=None,
+                   help="declared volume upper bound (default: the trace's largest volume)")
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
     p.add_argument("--oracle-cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
@@ -343,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--d-min", type=_finite, default=None)
-    p.add_argument("--d-max", type=_finite, default=None)
     p.add_argument("--cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)

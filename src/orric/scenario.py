@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,8 @@ __all__ = [
 
 D_LAWS = ("constant", "uniform")
 C_LAWS = ("constant", "uniform", "sufficient", "scarce")
+# the trace generator's Philox key is a 128-bit unsigned integer
+SEED_MAX = 2**128 - 1
 
 STUDENT_MODEL = "MobileNetV2"
 TEACHER_MODEL = "ResNet50"
@@ -73,8 +77,10 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(self.horizon, Integral) or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not isinstance(self.seed, Integral) or not 0 <= self.seed <= SEED_MAX:
+            raise ValueError(f"seed must be an integer in 0..{SEED_MAX}, got {self.seed!r}")
         if self.d_law not in D_LAWS:
             raise ValueError(f"unknown d_law {self.d_law!r}; known: {list(D_LAWS)}")
         if self.c_law not in C_LAWS:
@@ -145,19 +151,29 @@ class ReplaySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sampling_ratios", tuple(float(r) for r in self.sampling_ratios))
+        try:
+            ratios = tuple(float(r) for r in self.sampling_ratios)
+        except (TypeError, ValueError):
+            ratios = None
+        if ratios is None or not all(map(math.isfinite, ratios)):
+            raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}")
+        object.__setattr__(self, "sampling_ratios", ratios)
+        for name in ("train_cost_multiplier", "L", "data_per_slot", "f_at_max"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.sampling_ratios or max(self.sampling_ratios) <= 0.0:
             raise ValueError("sampling_ratios needs at least one positive entry")
         if min(self.sampling_ratios) < 0.0:
             raise ValueError("sampling_ratios must be >= 0")
         if self.train_cost_multiplier <= 0.0:
             raise ValueError("train_cost_multiplier must be positive")
-        if self.epochs_per_slot < 1:
-            raise ValueError("epochs_per_slot must be >= 1")
+        if not isinstance(self.epochs_per_slot, Integral) or self.epochs_per_slot < 1:
+            raise ValueError(f"epochs_per_slot must be an integer >= 1, got {self.epochs_per_slot!r}")
         if self.L < 0.0:
             raise ValueError("L must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(self.horizon, Integral) or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.data_per_slot <= 0.0:
             raise ValueError("data_per_slot must be positive")
 
@@ -256,8 +272,6 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
 def load_replay_spec(path) -> ReplaySpec:
     """Read a ReplaySpec from JSON mirroring its fields."""
     data = json.loads(Path(path).read_text())
-    if "sampling_ratios" in data:
-        data["sampling_ratios"] = tuple(data["sampling_ratios"])
     try:
         return ReplaySpec(**data)
     except TypeError as exc:

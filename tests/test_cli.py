@@ -201,17 +201,43 @@ class TestRun:
         assert main(argv) == 0
         assert read_tree(out) == first
 
-    def test_generated_trace_written(self, tmp_path, worked_files):
+    def test_declared_bounds(self, tmp_path, worked_files, capsys):
+        # a drawn trace's volumes lie strictly inside the law's [1, 10], so the
+        # declared bounds, not the observed range, must set the schedule and the bounds
+        profiles_path, model_path = worked_files / "profiles.json", worked_files / "model.json"
+        trace_path = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--T", "6", "--d-law", "uniform", "--d", "1", "--d-hi", "10",
+                     "--law", "sufficient", "--seed", "3", "--profiles", str(profiles_path),
+                     "--out", str(trace_path)]) == 0
+        trace = read_trace_csv(trace_path)
+        profiles, model = load_profiles(profiles_path), load_model(model_path)
+        lo, hi = 1.0, 10.0
+        declared = reference_schedule_csv(*weight_schedule(trace.horizon, model, lo, hi, profiles.min_profit))
+        observed = reference_schedule_csv(*weight_schedule(trace.horizon, model, trace.d_min, trace.d_max,
+                                                           profiles.min_profit))
+        assert declared != observed
         out = tmp_path / "run"
-        rc = main(["run",
-                   "--profiles", str(worked_files / "profiles.json"),
-                   "--model", str(worked_files / "model.json"),
-                   "--T", "3", "--law", "sufficient", "--d", "1",
-                   "--out", str(out)])
-        assert rc == 0
-        assert (out / "trace.csv").read_text() == "t,d,c\n1,1,15\n2,1,15\n3,1,15\n"
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["inputs"]["trace_spec"]["c_law"] == "sufficient"
+        argv = ["run", "--profiles", str(profiles_path), "--model", str(model_path),
+                "--trace", str(trace_path), "--out", str(out)]
+        assert main([*argv, "--d-min", "1", "--d-max", "10"]) == 0
+        assert (out / "schedule.csv").read_text() == declared
+        bounds = json.loads((out / "summary.json").read_text())["bounds"]["inputs"]
+        assert (bounds["d_min"], bounds["d_max"]) == (lo, hi)
+        capsys.readouterr()
+        assert main([*argv, "--d-min", repr(trace.d_min * 1.01)]) == 1
+        assert "outside the declared" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--T", "5"], ["--T", "50", "--law", "scarce", "--seed", "9"]],
+                             ids=["T", "law"])
+    def test_law_flags_refused(self, tmp_path, worked_files, capsys, extra):
+        # a trace comes from --trace alone; gen-trace draws one from a law
+        argv = ["run", "--profiles", str(worked_files / "profiles.json"),
+                "--model", str(worked_files / "model.json"),
+                "--trace", str(worked_files / "trace.csv"), "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, *extra]) == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     def test_schedule_csv(self, tmp_path, worked_files):
         out = tmp_path / "run"
@@ -372,7 +398,6 @@ def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
     ("run", "--oracle-cap", "-1", "must be >= 0, got -1"),
     ("replay", "--oracle-cap", "-1", "must be >= 0, got -1"),
     ("oracle", "--cap", "-1", "must be >= 0, got -1"),
-    ("run", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("replay", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("gen-trace", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("replay", "--seed", str(2**128), f"must be in 0..{2**128 - 1}, got {2**128}"),
@@ -381,8 +406,8 @@ def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, va
     # each command is valid as given; the flag added last overrides any earlier value
     profiles, model, out = str(worked_files / "profiles.json"), str(worked_files / "model.json"), str(tmp_path / "o")
     argv = {
-        "run": ["run", "--profiles", profiles, "--model", model, "--T", "2", "--law", "sufficient",
-                "--d", "1", "--out", out],
+        "run": ["run", "--profiles", profiles, "--model", model,
+                "--trace", str(worked_files / "trace.csv"), "--out", out],
         "replay": ["replay", "fog", "--T", "2", "--out", out],
         "oracle": ["oracle", "--profiles", profiles, "--model", model,
                    "--trace", str(worked_files / "trace.csv")],
@@ -466,6 +491,14 @@ class TestOracle:
         assert rc == 1
         assert "exceed" in capsys.readouterr().err
 
+    def test_bound_flags_refused(self, worked_files, capsys):
+        # the optimum does not depend on declared volume bounds, so oracle takes none
+        rc = main(["oracle", "--profiles", str(worked_files / "profiles.json"),
+                   "--model", str(worked_files / "model.json"),
+                   "--trace", str(worked_files / "trace.csv"), "--d-min", "0.5", "--d-max", "50"])
+        assert rc == 1
+        assert "unrecognized arguments: --d-min 0.5 --d-max 50" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_report(self, tmp_path, worked_files, capsys):
@@ -531,6 +564,41 @@ class TestReplayCommand:
     def test_needs_label_or_spec(self, tmp_path, capsys):
         rc = main(["replay", "--out", str(tmp_path / "r")])
         assert rc == 1
+
+    def test_label_and_spec_refused(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"corruption": "contrast", "horizon": 2}))
+        out = tmp_path / "replay"
+        assert main(["replay", "--spec", str(spec), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["replay", "fog", "--spec", str(spec), "--out", str(tmp_path / "both")]) == 1
+        err = capsys.readouterr().err
+        assert "'fog'" in err and f"--spec {spec}" in err
+        assert not (tmp_path / "both").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sampling_ratios", 0.5, "sampling_ratios must be a list of finite numbers, got 0.5"),
+        ("sampling_ratios", [0.0, float("nan")], "sampling_ratios must be a list of finite numbers"),
+        ("horizon", 2.5, "horizon must be an integer >= 1, got 2.5"),
+        ("horizon", "2", "horizon must be an integer >= 1, got '2'"),
+        ("epochs_per_slot", 1.5, "epochs_per_slot must be an integer >= 1, got 1.5"),
+        ("seed", -1, f"seed must be an integer in 0..{2**128 - 1}, got -1"),
+        ("seed", 2**128, f"seed must be an integer in 0..{2**128 - 1}, got {2**128}"),
+        ("train_cost_multiplier", float("nan"), "train_cost_multiplier must be a finite number, got nan"),
+        ("L", float("inf"), "L must be a finite number, got inf"),
+        ("data_per_slot", float("-inf"), "data_per_slot must be a finite number, got -inf"),
+        ("f_at_max", float("nan"), "f_at_max must be a finite number, got nan"),
+        ("f_at_max", "high", "f_at_max must be a finite number, got 'high'"),
+    ])
+    def test_malformed_spec(self, tmp_path, capsys, field, value, message):
+        # the spec is valid without the field; json writes NaN and infinities as bare tokens
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"corruption": "fog", "horizon": 2}))
+        assert main(["replay", "--spec", str(spec), "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        spec.write_text(json.dumps({"corruption": "fog", "horizon": 2, field: value}))
+        assert main(["replay", "--spec", str(spec), "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unknown_label(self, tmp_path, capsys):
         rc = main(["replay", "rain", "--out", str(tmp_path / "r")])

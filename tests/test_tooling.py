@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import shlex
 import sys
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import orric.engine as engine
 import orric.policies as policies
 from orric.policies import POLICIES
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "benchmarks" / "tracer.py"
 
 
 def traced_names() -> dict[str, list[tuple[str, str]]]:
@@ -89,3 +91,12 @@ def test_run_shares_its_inputs(monkeypatch, tmp_path):
     # generate_trace's feasibility check and the run's plan
     assert len(calls["fit_table"]) <= 2
     assert len(calls["weight_schedule"]) == 1
+
+
+def test_readme_commands_parse():
+    # every command line the README shows is accepted by the parser; nothing runs
+    lines = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("orric ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
