@@ -35,8 +35,6 @@ _GRID_POINTS = 1024
 _SHAPE_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
 
-FAMILIES = ("linear", "shifted-power", "exponential-saturation", "shifted-log", "constant")
-
 
 def _require_params(params: Mapping[str, float], *names: str) -> list[float]:
     extra = set(params) - set(names)
@@ -101,6 +99,7 @@ _BUILDERS: dict[str, Callable] = {
     "shifted-log": _build_shifted_log,
     "constant": _build_constant,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 from .accuracy import AccuracyModel
 from .engine import Trace
 from .profiles import ProfileSet
+from .scenario import TraceSpec, generate_trace
 
 __all__ = ["CRBounds", "compute_bounds", "bounds_report", "build_io_tight_instance"]
 
@@ -125,16 +126,13 @@ def build_io_tight_instance(
 ) -> Trace:
     """Constant trace on which inference-only meets its ratio ceiling.
 
-    Capacity admits the most expensive retraining and inference pair in
-    every slot, so the oracle buys full gain once and rides f(max_gain)
-    afterwards while inference-only stays at f(0) forever. Requires the
-    menu top gain to equal the curve domain, so that single purchase
-    reaches the curve's end.
+    The sufficient law at constant volume d: capacity admits the most
+    expensive retraining and inference pair in every slot, so the oracle
+    buys full gain once and rides f(max_gain) afterwards while
+    inference-only stays at f(0) forever. Requires the menu top gain to
+    equal the curve domain, so that single purchase reaches the curve's
+    end.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if d <= 0.0:
-        raise ValueError("d must be positive")
+    spec = TraceSpec(horizon=horizon, d_lo=d, c_law="sufficient")
     _check_consistent(model, profiles)
-    c_slot = d * profiles.top_pair_cost
-    return Trace(d=(d,) * horizon, c=(c_slot,) * horizon, d_min=d, d_max=d)
+    return generate_trace(spec, profiles)

@@ -30,7 +30,7 @@ from .engine import (
 from .errors import CapExceededError, InfeasibleError
 from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
-from .scenario import SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
+from .scenario import C_LAWS, D_LAWS, SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
 _SIG = ".12g"
 _CAP_HELP = "largest retraining-sequence space m^T the oracle accepts; 0 disables"
@@ -41,7 +41,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; 2 is reserved for infeasibility here
+    # argparse exits 2 on usage errors; 2 is reserved for infeasibility here.
+    # A flag must be spelled in full: a prefix would change meaning once a later flag shares it
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -280,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-trace", help="draw a trace from a law and write it as CSV")
     p.add_argument("--T", type=int, required=True, help="number of slots")
-    p.add_argument("--d-law", choices=("constant", "uniform"), default="constant",
+    p.add_argument("--d-law", choices=D_LAWS, default="constant",
                    help="data volume law (default constant)")
     p.add_argument("--d", type=_finite, default=1000.0, help="data volume, or its lower bound under the uniform law")
     p.add_argument("--d-hi", type=_finite, default=None, help="upper volume bound for the uniform law")
-    p.add_argument("--law", choices=("constant", "uniform", "sufficient", "scarce"),
+    p.add_argument("--law", choices=C_LAWS,
                    default="sufficient", help="capacity law (default sufficient)")
     p.add_argument("--c", type=_finite, default=None,
                    help="capacity, or its lower bound under the uniform law (constant law default: the --d value)")
@@ -366,10 +370,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

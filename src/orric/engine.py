@@ -34,7 +34,6 @@ from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
     Decision,
-    DecisionSequence,
     fit_table,
     table_decisions,
     weight_schedule,
@@ -163,7 +162,7 @@ class RunResult:
         )
 
     @cached_property
-    def decisions(self) -> DecisionSequence:
+    def decisions(self) -> tuple[Decision, ...]:
         return tuple(Decision(i, j) for i, j in self.indices.tolist())
 
 

@@ -9,8 +9,9 @@ takes the fitting pair with the largest weighted sum. The four
 heuristics cover the natural fixed strategies: spend everything on
 inference, top up retraining with leftovers, put retraining first, or
 shift the budget split from retraining toward inference as the horizon
-runs out. orric_step is the independent per-slot two-pointer form of
-orric, kept as a reference; it alone reads a slot's ScheduleWeights.
+runs out. The per-slot names (compute_weights, orric_step,
+heuristic_step) are one-slot views of weight_schedule and the table
+rule, so they answer with the code a run uses.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "POLICIES",
     "ScheduleWeights",
     "Decision",
-    "DecisionSequence",
     "weight_schedule",
     "compute_weights",
     "orric_step",
@@ -59,7 +59,7 @@ class ScheduleWeights:
 
     lam is the per-slot regularizer value, kept for diagnostics only; it
     never enters a decision. u is the slot's per-sample budget, which only
-    the per-slot reference orric_step reads.
+    orric_step reads. Every field must be finite.
     """
 
     v: float
@@ -68,6 +68,10 @@ class ScheduleWeights:
     u: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("v", "w", "lam", "u"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.v < 0.0:
             raise ValueError("v must be >= 0")
         if self.w <= 0.0:
@@ -87,9 +91,6 @@ class Decision(NamedTuple):
 
     retrain_index: int
     infer_index: int
-
-
-DecisionSequence = tuple[Decision, ...]
 
 
 def weight_schedule(
@@ -151,36 +152,6 @@ def compute_weights(
     return ScheduleWeights(v=float(v[t - 1]), w=float(w[t - 1]), lam=float(lam[t - 1]))
 
 
-def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
-    """Pick the budget-feasible pair maximizing v * gain + w * profit.
-
-    Walks retraining cost up and inference cost down in one O(M + N)
-    pass; because both menus are strictly ascending, every maximizer is
-    visited. Ties keep the first maximizer in scan order (strict >).
-    """
-    u = weights.u
-    if u is None:
-        raise ValueError("per-sample budget u is not set on the weights")
-    retrain, infer = profiles.retrain, profiles.infer
-    i, j = 0, len(infer) - 1
-    best_i = best_j = -1
-    best = 0.0
-    while i < len(retrain) and j >= 0:
-        if retrain[i].cost + infer[j].cost <= u:
-            value = weights.v * retrain[i].gain + weights.w * infer[j].profit
-            if value > best:
-                best_i, best_j, best = i, j, value
-            i += 1
-        else:
-            j -= 1
-    if best_i < 0:
-        raise InfeasibleError(
-            f"no menu pair fits the per-sample budget {u} (cheapest inference costs "
-            f"{profiles.min_infer_cost})"
-        )
-    return Decision(best_i + 1, best_j + 1)
-
-
 def fit_table(volumes, capacities, profiles: ProfileSet) -> np.ndarray:
     """The budget test, stated once: which menu pairs fit each slot.
 
@@ -228,7 +199,7 @@ def table_decisions(
         menus = profiles.arrays
         value = v[:, None] * menus.gain + w[:, None] * menus.profit[np.maximum(jbest, 0)]
         value[jbest < 0] = -np.inf
-        # argmax keeps the first maximizer: orric_step's scan-order tie rule
+        # argmax keeps the first maximizer: ties go to the lowest retraining index
         i = np.argmax(value, axis=1)
     elif policy == INFERENCE_ONLY:
         i = np.zeros(len(jbest), dtype=int)
@@ -251,12 +222,31 @@ def table_decisions(
     return np.column_stack((i, j)) + 1
 
 
+def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> Decision:
+    """The table rule's decision for slot t of unit volume with per-sample budget u."""
+    jbest = fit_table([1.0], [u], profiles)
+    (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles, schedule).tolist()
+    return Decision(*row)
+
+
+def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
+    """Pick the pair fitting the per-sample budget u that maximizes v * gain + w * profit.
+
+    A one-slot fit table read by the orric rule of table_decisions: ties
+    keep the lowest retraining index.
+    """
+    if weights.u is None:
+        raise ValueError("per-sample budget u is not set on the weights")
+    schedule = (np.array([weights.v]), np.array([weights.w]), np.array([weights.lam]))
+    return _one_slot(ORRIC, 1, 1, weights.u, profiles, schedule)
+
+
 def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> Decision:
     """One slot of a named fixed strategy: slot t of unit volumes with per-sample budget u."""
     if policy not in HEURISTICS:
         raise ValueError(f"unknown heuristic {policy!r}; known: {list(HEURISTICS)}")
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    jbest = fit_table([1.0], [u], profiles)
-    (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles).tolist()
-    return Decision(*row)
+    if not math.isfinite(u):
+        raise ValueError(f"per-sample budget u must be finite, got {u!r}")
+    return _one_slot(policy, t, horizon, u, profiles)

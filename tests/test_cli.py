@@ -676,5 +676,26 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
 
+    @pytest.mark.parametrize("command, full, abbreviated", [
+        ("run", ["--oracle-cap", "0"], ["--oracle", "0"]),
+        ("replay", ["--oracle-cap", "0"], ["--ora", "0"]),
+        ("bounds", ["--d-min", "1", "--d-max", "2"], ["--d-mi", "1", "--d-ma", "2"]),
+    ], ids=["run", "replay", "bounds"])
+    def test_abbreviated_flag_refused(self, tmp_path, worked_files, capsys, command, full, abbreviated):
+        # a prefix is not a flag: it would change meaning once a later flag shares it
+        profiles, model = str(worked_files / "profiles.json"), str(worked_files / "model.json")
+        argv = {
+            "run": ["run", "--profiles", profiles, "--model", model, "--trace", str(worked_files / "trace.csv")],
+            "replay": ["replay", "fog", "--T", "2"],
+            "bounds": ["bounds", "--profiles", profiles, "--model", model, "--T", "4"],
+        }[command]
+        out = [] if command == "bounds" else ["--out", str(tmp_path / "full")]
+        assert main([*argv, *full, *out]) == 0
+        capsys.readouterr()
+        out = [] if command == "bounds" else ["--out", str(tmp_path / "abbreviated")]
+        assert main([*argv, *abbreviated, *out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "abbreviated").exists()
+
     def test_bad_flag_value(self, tmp_path, capsys):
         assert main(["gen-trace", "--T", "three", "--out", str(tmp_path / "t.csv")]) == 1

@@ -1,4 +1,4 @@
-"""Weight schedule, two-pointer step rule, and the fixed heuristics."""
+"""Weight schedule, the one-slot step rule, and the fixed heuristics."""
 
 from __future__ import annotations
 
@@ -130,6 +130,16 @@ class TestScheduleWeights:
             ScheduleWeights(v=0.0, w=1.0, lam=-1.0)
         with pytest.raises(ValueError):
             ScheduleWeights(v=0.0, w=1.0, lam=0.0, u=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["v", "w", "lam", "u"])
+    def test_non_finite_rejected(self, worked_profiles, field, value):
+        # NaN passes every sign check, and a NaN or infinite price poisons a slot's scores
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ScheduleWeights(**{"v": 0.5, "w": 1.0, "lam": 0.0, "u": 12.0, field: value})
+        if field == "u":
+            with pytest.raises(ValueError, match="budget u must be finite"):
+                heuristic_step(INFERENCE_ONLY, 1, 2, value, worked_profiles)
 
     def test_u_defaults_to_none(self):
         assert ScheduleWeights(v=0.0, w=1.0, lam=0.0).u is None

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import pkgutil
 import shlex
 import sys
 from pathlib import Path
 
+import orric
 import orric.cli as cli
 import orric.engine as engine
 import orric.policies as policies
-from orric.policies import POLICIES
+from orric.policies import INFERENCE_GREEDY, POLICIES, ScheduleWeights
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "tracer.py"
@@ -100,3 +102,35 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_per_slot_names_read_the_table(monkeypatch, worked_profiles, worked_model):
+    # the per-slot names the tracer wraps are one-slot views of the run's own rule
+    calls = {
+        fn.__name__: count_calls(monkeypatch, fn)
+        for fn in (policies.fit_table, policies.table_decisions, policies.weight_schedule)
+    }
+    steps = {
+        "orric_step": lambda: policies.orric_step(ScheduleWeights(v=0.5, w=1.0, lam=0.0, u=12.0), worked_profiles),
+        "heuristic_step": lambda: policies.heuristic_step(INFERENCE_GREEDY, 1, 2, 12.0, worked_profiles),
+    }
+    for name, step in steps.items():
+        for log in calls.values():
+            log.clear()
+        step()
+        assert [len(calls["fit_table"]), len(calls["table_decisions"])] == [1, 1], name
+    calls["weight_schedule"].clear()
+    policies.compute_weights(1, 2, worked_model, 1.0, 1.0, 0.6)
+    assert len(calls["weight_schedule"]) == 1
+
+
+def test_public_names_resolve():
+    modules = [importlib.import_module(f"orric.{info.name}") for info in pkgutil.iter_modules(orric.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name} does not resolve"
+    tree = ast.parse(Path(orric.__file__).read_text())
+    exported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exported
+    for name in exported:
+        assert hasattr(orric, name), f"orric.{name} does not resolve"
