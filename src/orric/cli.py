@@ -79,7 +79,8 @@ def _int_in(lo: int, hi: int | None = None):
 
 _non_negative = _int_in(0)
 _seed = _int_in(0, SEED_MAX)
-# nonconvexity_witness holds grid^4 doubles per alpha: 128 MiB at 64
+# nonconvexity_witness holds one lattice row, grid^3 doubles (2 MiB at 64); the cap
+# bounds worst-case time, since a search that finds no witness visits grid^5 points
 _grid_points = _int_in(2, 64)
 
 

@@ -407,8 +407,11 @@ def nonconvexity_witness(
 
     x ranges over [0, domain_max], y over [y_lo, y_hi], alpha over the
     open unit interval, grid_points values each. The first hit of each
-    sign in scan order is reported; missing sides (a constant curve has
-    gap identically zero) are reported as None, not errors.
+    sign in scan order (alpha, then x1, x2, y1, y2) is reported; missing
+    sides (a constant curve has gap identically zero) are reported as
+    None, not errors. The search holds one x1 row of the lattice at a
+    time, grid_points**3 doubles, and stops once both signs are found;
+    a search that finds no witness visits grid_points**5 points.
     """
     if not 0.0 < y_lo < y_hi:
         raise ValueError("need 0 < y_lo < y_hi")
@@ -421,28 +424,29 @@ def nonconvexity_witness(
 
     sides = {"positive": (np.greater, tol), "negative": (np.less, -tol)}
     hits: dict[str, MixturePoint] = {}
+    row = np.empty((grid_points,) * 3)
+    mask = np.empty(row.shape, dtype=bool)
     for alpha in alphas:
         a = float(alpha)
         xbar = a * xs[:, None] + (1.0 - a) * xs[None, :]
         fbar = model.eval(np.clip(xbar, 0.0, model.domain_max))
         ybar = a * ys[:, None] + (1.0 - a) * ys[None, :]
-        gap = (
-            fbar[:, :, None, None] * ybar[None, None, :, :]
-            - (a * fx)[:, None, None, None] * ys[None, None, :, None]
-            - ((1.0 - a) * fx)[None, :, None, None] * ys[None, None, None, :]
-        )
-        for side, (beyond, bound) in sides.items():
-            if side in hits:
-                continue
-            found = np.flatnonzero(beyond(gap, bound))
-            if found.size:
-                i1, i2, j1, j2 = np.unravel_index(int(found[0]), gap.shape)
-                hits[side] = MixturePoint(
-                    float(xs[i1]), float(xs[i2]), float(ys[j1]), float(ys[j2]), a,
-                    float(gap[i1, i2, j1, j2]),
-                )
-        if len(hits) == 2:
-            break
+        fx2 = ((1.0 - a) * fx)[:, None, None]
+        for i1 in range(grid_points):
+            # the gap's x1 row, indexed (i2, j1, j2): f(xbar)*ybar - a*f(x1)*y1 - (1-a)*f(x2)*y2,
+            # built in place; rows in order keep the whole lattice's C scan order
+            np.multiply(fbar[i1, :, None, None], ybar, out=row)
+            row -= (a * fx[i1]) * ys[:, None]
+            row -= fx2 * ys
+            for side, (beyond, bound) in sides.items():
+                if side not in hits and beyond(row, bound, out=mask).any():
+                    i2, j1, j2 = np.unravel_index(int(np.argmax(mask)), row.shape)
+                    hits[side] = MixturePoint(
+                        float(xs[i1]), float(xs[i2]), float(ys[j1]), float(ys[j2]), a,
+                        float(row[i2, j1, j2]),
+                    )
+            if len(hits) == 2:
+                return WitnessReport(positive=hits["positive"], negative=hits["negative"])
     return WitnessReport(positive=hits.get("positive"), negative=hits.get("negative"))
 
 

@@ -22,7 +22,7 @@ from orric import (
     make_model,
 )
 from orric.cli import _fmt
-from orric.engine import _check_domain, _kahan_cumsum
+from orric.engine import MixturePoint, WitnessReport, _check_domain, _kahan_cumsum
 from orric.policies import fit_table
 
 FAMILY_POOL = ("linear", "shifted-power", "exponential-saturation", "shifted-log")
@@ -275,3 +275,41 @@ def reference_schedule_csv(v, w, lam) -> str:
     for t, row in enumerate(zip(v.tolist(), w.tolist(), lam.tolist()), 1):
         lines.append(f"{t}," + ",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
+
+
+def reference_witness(model, y_lo, y_hi, grid_points=32, tol=1e-12) -> WitnessReport:
+    """Reference witness search: the whole grid^4 gap array for each alpha.
+
+    This is the search nonconvexity_witness ran before it scanned the
+    lattice one x1 row at a time; the row scan must match it with ==.
+    It holds grid_points**4 doubles per alpha, so keep grids small.
+    """
+    xs = np.linspace(0.0, model.domain_max, grid_points)
+    ys = np.linspace(y_lo, y_hi, grid_points)
+    alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    fx = np.asarray(model.eval(xs), dtype=float)
+    sides = {"positive": (np.greater, tol), "negative": (np.less, -tol)}
+    hits: dict[str, MixturePoint] = {}
+    for alpha in alphas:
+        a = float(alpha)
+        xbar = a * xs[:, None] + (1.0 - a) * xs[None, :]
+        fbar = model.eval(np.clip(xbar, 0.0, model.domain_max))
+        ybar = a * ys[:, None] + (1.0 - a) * ys[None, :]
+        gap = (
+            fbar[:, :, None, None] * ybar[None, None, :, :]
+            - (a * fx)[:, None, None, None] * ys[None, None, :, None]
+            - ((1.0 - a) * fx)[None, :, None, None] * ys[None, None, None, :]
+        )
+        for side, (beyond, bound) in sides.items():
+            if side in hits:
+                continue
+            found = np.flatnonzero(beyond(gap, bound))
+            if found.size:
+                i1, i2, j1, j2 = np.unravel_index(int(found[0]), gap.shape)
+                hits[side] = MixturePoint(
+                    float(xs[i1]), float(xs[i2]), float(ys[j1]), float(ys[j2]), a,
+                    float(gap[i1, i2, j1, j2]),
+                )
+        if len(hits) == 2:
+            break
+    return WitnessReport(positive=hits.get("positive"), negative=hits.get("negative"))

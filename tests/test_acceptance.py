@@ -48,10 +48,10 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 def step_oracle(v: float, w: float, u: float, profiles):
     """Exhaustive step maximizer with the scan-order tie rule.
 
-    Returns (decision, value) or None when no pair fits. Independent of
-    the two-pointer: per retraining row the best inference index comes
-    from a bisection on the cost list, and the full value matrix cross-
-    checks the maximum.
+    Returns (decision, value) or None when no pair fits. It checks the
+    fit-table rule at d = 1 by another route: per retraining row the best
+    inference index comes from a bisection on the cost list, and the full
+    value matrix cross-checks the maximum.
     """
     rg = np.array([e.gain for e in profiles.retrain])
     rc = np.array([e.cost for e in profiles.retrain])

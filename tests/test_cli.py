@@ -621,7 +621,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("grid", ["-1", "0", "1", "65", "1000000"])
     def test_grid_out_of_bounds(self, tmp_path, monkeypatch, capsys, grid):
-        # a rejected grid must never reach the search, which holds grid^4 doubles per alpha
+        # a rejected grid must never reach the search: it holds grid^3 doubles and visits up to grid^5 points
         def unreachable(*args, **kwargs):
             raise AssertionError("the search ran")
 

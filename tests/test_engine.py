@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from orric.cli import _write_schedule_csv
 from orric.engine import _kahan_cumsum
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
+    FAMILY_POOL,
     enumerate_optimal,
     naive_optimal_total,
     random_feasible_trace,
@@ -43,6 +45,7 @@ from conftest import (
     reference_objective,
     reference_run_csv,
     reference_schedule_csv,
+    reference_witness,
 )
 
 
@@ -374,6 +377,21 @@ class TestBudgetBoundary:
             if policy == KNOWLEDGE_DISTILLATION:
                 assert result.meta["degraded_slots"] == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), horizon=st.integers(min_value=1, max_value=6))
+    def test_scarce_to_ample_capacities(self, seed, horizon):
+        rng = np.random.default_rng(seed)
+        ps = random_profileset(rng, max_m=4, max_n=4)
+        model = random_model(rng, 1.0)
+        trace = random_feasible_trace(rng, ps, horizon)
+        oracle = offline_optimal(trace, ps, model)
+        results = [run_policy(policy, trace, ps, model) for policy in POLICIES]
+        for result in (oracle, *results):
+            assert np.isfinite(result.total), result.policy
+            assert all(used <= c for used, c in zip(result.per_slot_budget_use, trace.c)), result.policy
+        for result in results:
+            assert result.total <= oracle.total + 1e-9 * abs(oracle.total), result.policy
+
 
 class TestWitness:
     def test_bilinear_closed_form(self):
@@ -406,6 +424,32 @@ class TestWitness:
         report = nonconvexity_witness(flat, 0.5, 1.0)
         assert report.positive is None and report.negative is None
         assert not report.complete
+        for grid in (2, 3, 7, 32):
+            expected = reference_witness(flat, 0.5, 1.0, grid_points=grid)
+            assert nonconvexity_witness(flat, 0.5, 1.0, grid_points=grid) == expected
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(53)
+        families = set()
+        for _ in range(12):
+            model = random_model(rng, float(rng.uniform(0.3, 2.0)))
+            families.add(model.family)
+            for grid in (2, 3, 7, 32):
+                for y_lo, y_hi in ((0.5, 1.0), (0.01, 100.0), (3.0, 3.5)):
+                    expected = reference_witness(model, y_lo, y_hi, grid_points=grid)
+                    assert nonconvexity_witness(model, y_lo, y_hi, grid_points=grid) == expected
+        assert families == set(FAMILY_POOL)
+
+    def test_memory_holds_one_lattice_row(self, worked_model):
+        # one x1 row at grid 64 is 64**3 doubles (2 MiB); the whole grid^4 lattice is 128 MiB per alpha
+        tracemalloc.start()
+        try:
+            report = nonconvexity_witness(worked_model, 0.5, 1.0, grid_points=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.complete
+        assert peak < 16 * 2**20
 
     def test_validation(self, worked_model):
         with pytest.raises(ValueError):

@@ -35,10 +35,10 @@ from conftest import random_model, random_profileset
 def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
     """All-pairs maximizer with the documented scan-order tie rule.
 
-    The two-pointer walks i ascending and for each i the largest j that
-    fits; among equal values the pair visited first wins, which this
-    reproduces by iterating i ascending, j descending, and keeping a
-    candidate only on strict improvement.
+    It checks the fit-table rule at d = 1, which scores each i ascending
+    with the largest j that fits; among equal values the pair visited
+    first wins, which this reproduces by iterating i ascending, j
+    descending, and keeping a candidate only on strict improvement.
     """
     best = None
     best_value = 0.0
