@@ -20,7 +20,7 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
-    RunPlan,
+    _shared_plan,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
@@ -130,7 +130,7 @@ def _parse_policies(text: str) -> list[str]:
 def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> None:
     """Run the policies and the oracle, write every artefact and print the totals."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = RunPlan(trace, profiles, model)
+    plan = _shared_plan(trace, profiles, model)
     summary: dict = {"inputs": inputs, "policies": {}}
     totals: dict[str, float] = {}
     for name in policies:

@@ -12,15 +12,16 @@ the Pareto frontier of (volume-weighted gain so far, score so far), with
 greedy inference per slot once retraining is fixed, and it is the
 denominator for empirical performance ratios. What a run's policies, its
 oracle and its writers share is built once: a Trace caches its array
-view and its run-CSV columns, and a RunPlan holds the fit table and the
-weight schedule.
+view, its run-CSV columns and the RunPlan last built on it, which holds
+the fit table and the weight schedule.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+import weakref
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -130,6 +131,11 @@ class Trace:
         """The run CSV's u and capacity columns as %.12g text, formatted on the first write."""
         return tuple(["%.12g" % x for x in self.arrays.u.tolist()]), tuple(["%.12g" % x for x in self.c])
 
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled trace builds its own plan (see _shared_plan); the plan's weak
+        # reference to this trace cannot be pickled
+        return {key: value for key, value in self.__dict__.items() if key != "_plan"}
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -230,15 +236,25 @@ class RunPlan:
     """What one run's policies, oracle and writers share, built once per run.
 
     It holds the trace's fit table and builds orric's weight schedule on
-    first use. The plan reads the trace, the menus and the model it was
-    built from; none of them may change while it is in use.
+    first use. run_policy and offline_optimal share one plan while they
+    are given the same trace, menus and curve objects: the trace keeps
+    the plan last built on it. The plan reads the trace, the menus and
+    the model it was built from; none of them may change while it is in
+    use. It holds its trace weakly, so the caller keeps the trace alive.
     """
 
     def __init__(self, trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> None:
-        self.trace, self.profiles, self.model = trace, profiles, model
+        # a strong reference would make a cycle with the trace that keeps this plan,
+        # and hold every finished run's trace until the cyclic collector ran
+        self._trace = weakref.ref(trace)
+        self.profiles, self.model = profiles, model
         view = trace.arrays
         self.jbest = fit_table(view.d, view.c, profiles)
         self.jbest.flags.writeable = False
+
+    @property
+    def trace(self) -> Trace:
+        return self._trace()
 
     @cached_property
     def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +276,7 @@ class RunPlan:
         if policy == KNOWLEDGE_DISTILLATION:
             top = (profiles.m, profiles.n)
             meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
-        result = evaluate_objective(indices, trace, profiles, self.model)
-        return replace(result, policy=policy, meta=meta)
+        return _labelled(evaluate_objective(indices, trace, profiles, self.model), policy, meta)
 
     def oracle(self, cap: int) -> RunResult:
         """The exact offline optimum (see offline_optimal)."""
@@ -284,6 +299,7 @@ class RunPlan:
         score = np.zeros(1)
         trail: list[np.ndarray] = []
         peak = 1
+        expanded = 0
         for t in range(horizon):
             x = z / d_cum[t - 1] if t else z
             fx = model.eval(np.clip(x, 0.0, model.domain_max))
@@ -291,6 +307,7 @@ class RunPlan:
             # candidates are in prefix order when the states are
             zc = (z[:, None] + dz[t]).ravel()
             sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
+            expanded += zc.size
             # z descending, then score descending; the stable sort keeps prefix order within ties
             order = np.lexsort((-sc, -zc))
             zs, ss = zc[order], sc[order]
@@ -310,12 +327,27 @@ class RunPlan:
         for t in range(horizon - 1, -1, -1):
             k, choice[t] = divmod(int(trail[t][k]), m)
         indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-        result = evaluate_objective(indices, trace, profiles, model)
-        return replace(
-            result,
-            policy="oracle",
-            meta={"enumerated_sequences": total_sequences, "frontier_peak": peak},
-        )
+        meta = {"enumerated_sequences": total_sequences, "frontier_peak": peak, "states_expanded": expanded}
+        return _labelled(evaluate_objective(indices, trace, profiles, model), "oracle", meta)
+
+
+def _labelled(result: RunResult, policy: str, meta: dict) -> RunResult:
+    """Name a fresh result from evaluate_objective in place, sparing a rebuild's copy of its indices."""
+    object.__setattr__(result, "policy", policy)
+    object.__setattr__(result, "meta", meta)
+    return result
+
+
+def _shared_plan(trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> RunPlan:
+    """The plan last built on the trace if its trace, menus and curve are these objects, else a new one.
+
+    The plan is kept in the trace's __dict__, as the trace's cached
+    properties are, and is never used for another trace object.
+    """
+    plan = trace.__dict__.get("_plan")
+    if plan is None or plan.trace is not trace or plan.profiles is not profiles or plan.model is not model:
+        plan = trace.__dict__["_plan"] = RunPlan(trace, profiles, model)
+    return plan
 
 
 def run_policy(
@@ -328,9 +360,11 @@ def run_policy(
 
     Decisions are open loop: they depend on the slot index and budget,
     never on realized performance, so the sequence is built first and
-    scored with evaluate_objective afterwards.
+    scored with evaluate_objective afterwards. Calls given the same
+    trace, menus and curve objects, offline_optimal's included, share
+    one RunPlan; every call returns a new result.
     """
-    return RunPlan(trace, profiles, model).run(policy)
+    return _shared_plan(trace, profiles, model).run(policy)
 
 
 def offline_optimal(
@@ -356,9 +390,13 @@ def offline_optimal(
     kept in prefix order, and among equal states the first prefix wins.
     The answer is exact over all m^T retraining sequences; that count,
     reported as meta["enumerated_sequences"], must not exceed cap.
-    meta["frontier_peak"] is the largest number of states kept after a slot.
+    meta["frontier_peak"] is the largest number of states kept after a
+    slot, and meta["states_expanded"] the number of candidates scored,
+    the sum over slots of the frontier size times m. The oracle shares
+    its RunPlan with run_policy calls given the same trace, menus and
+    curve objects.
     """
-    return RunPlan(trace, profiles, model).oracle(cap)
+    return _shared_plan(trace, profiles, model).oracle(cap)
 
 
 def mixture_gap(f: Callable[[float], float], x1, x2, y1, y2, alpha: float) -> float:
@@ -409,9 +447,12 @@ def nonconvexity_witness(
     open unit interval, grid_points values each. The first hit of each
     sign in scan order (alpha, then x1, x2, y1, y2) is reported; missing
     sides (a constant curve has gap identically zero) are reported as
-    None, not errors. The search holds one x1 row of the lattice at a
-    time, grid_points**3 doubles, and stops once both signs are found;
-    a search that finds no witness visits grid_points**5 points.
+    None, not errors. tol is relative: a gap counts once its size
+    exceeds tol * max|f| * y_hi, the largest term's magnitude, so
+    roundoff on a flat curve is no witness at any y scale. The search
+    holds one x1 row of the lattice at a time, grid_points**3 doubles,
+    and stops once both signs are found; a search that finds no witness
+    visits grid_points**5 points.
     """
     if not 0.0 < y_lo < y_hi:
         raise ValueError("need 0 < y_lo < y_hi")
@@ -422,7 +463,8 @@ def nonconvexity_witness(
     alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     fx = np.asarray(model.eval(xs), dtype=float)
 
-    sides = {"positive": (np.greater, tol), "negative": (np.less, -tol)}
+    bound = tol * float(np.abs(fx).max()) * y_hi
+    sides = {"positive": (np.greater, bound), "negative": (np.less, -bound)}
     hits: dict[str, MixturePoint] = {}
     row = np.empty((grid_points,) * 3)
     mask = np.empty(row.shape, dtype=bool)

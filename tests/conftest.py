@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,22 @@ from orric.policies import fit_table
 FAMILY_POOL = ("linear", "shifted-power", "exponential-saturation", "shifted-log")
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind fn, in every loaded orric module that holds it, to a wrapper that logs each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "orric" or name.startswith("orric."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def record_verdict(number: int, ok: bool, detail: str) -> str:
@@ -282,13 +299,15 @@ def reference_witness(model, y_lo, y_hi, grid_points=32, tol=1e-12) -> WitnessRe
 
     This is the search nonconvexity_witness ran before it scanned the
     lattice one x1 row at a time; the row scan must match it with ==.
-    It holds grid_points**4 doubles per alpha, so keep grids small.
+    Both count a gap beyond tol * max|f| * y_hi. It holds
+    grid_points**4 doubles per alpha, so keep grids small.
     """
     xs = np.linspace(0.0, model.domain_max, grid_points)
     ys = np.linspace(y_lo, y_hi, grid_points)
     alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     fx = np.asarray(model.eval(xs), dtype=float)
-    sides = {"positive": (np.greater, tol), "negative": (np.less, -tol)}
+    bound = tol * float(np.abs(fx).max()) * y_hi
+    sides = {"positive": (np.greater, bound), "negative": (np.less, -bound)}
     hits: dict[str, MixturePoint] = {}
     for alpha in alphas:
         a = float(alpha)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orric.atomic as atomic
+import orric.policies as policies
 from orric import (
     CapExceededError,
     Decision,
@@ -33,10 +38,11 @@ from orric import (
     write_trace_csv,
 )
 from orric.cli import _write_schedule_csv
-from orric.engine import _kahan_cumsum
+from orric.engine import RunPlan, WitnessReport, _kahan_cumsum, _shared_plan
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     FAMILY_POOL,
+    count_calls,
     enumerate_optimal,
     naive_optimal_total,
     random_feasible_trace,
@@ -244,6 +250,17 @@ class TestRunPolicy:
             run_policy("orric", trace, worked_profiles, worked_model)
 
 
+def tie_heavy_instance(rng, flat=None):
+    """Constant volumes and budgets exactly on a pair's cost, on the flat curve when given: many sequences tie."""
+    ps = random_profileset(rng, max_m=6, max_n=4)
+    model = flat if flat is not None else random_model(rng, 1.0)
+    horizon = int(rng.integers(1, 7))
+    d = float(rng.choice([1.0, 3.0, 10.0]))
+    pairs = [(ps.retrain[int(rng.integers(ps.m))], ps.infer[int(rng.integers(ps.n))]) for _ in range(horizon)]
+    trace = Trace(d=(d,) * horizon, c=tuple(d * (r.cost + i.cost) for r, i in pairs), d_min=d, d_max=d)
+    return trace, ps, model
+
+
 class TestOfflineOptimal:
     def test_worked_instance(self, worked_profiles, worked_model, worked_trace):
         result = offline_optimal(worked_trace, worked_profiles, worked_model)
@@ -251,6 +268,8 @@ class TestOfflineOptimal:
         assert result.decisions == (Decision(2, 1), Decision(1, 2))
         assert result.policy == "oracle"
         assert result.meta["enumerated_sequences"] == 4
+        # slot 1 expands the empty prefix (2 states); both survive, so slot 2 expands 2 * 2
+        assert result.meta["states_expanded"] == 6
 
     def test_matches_naive_product_enumeration(self):
         rng = np.random.default_rng(31)
@@ -277,14 +296,8 @@ class TestOfflineOptimal:
             flat = make_model("constant", {"value": 0.7}, 1.0)
         checked = 0
         for k in range(150):
-            ps = random_profileset(rng, max_m=6, max_n=4)
-            model = flat if k % 2 else random_model(rng, 1.0)
-            horizon = int(rng.integers(1, 7))
-            d = float(rng.choice([1.0, 3.0, 10.0]))
-            pairs = [(ps.retrain[int(rng.integers(ps.m))], ps.infer[int(rng.integers(ps.n))])
-                     for _ in range(horizon)]
-            trace = Trace(d=(d,) * horizon, c=tuple(d * (r.cost + i.cost) for r, i in pairs),
-                          d_min=d, d_max=d)
+            trace, ps, model = tie_heavy_instance(rng, flat if k % 2 else None)
+            horizon = trace.horizon
             oracle = offline_optimal(trace, ps, model)
             reference = enumerate_optimal(trace, ps, model)
             assert oracle.decisions == reference.decisions
@@ -331,7 +344,23 @@ class TestOfflineOptimal:
         trace = Trace(d=(1.0,) * horizon, c=(15.0,) * horizon, d_min=1.0, d_max=1.0)
         result = offline_optimal(trace, worked_profiles, flat, cap=2**horizon)
         assert result.meta["frontier_peak"] == horizon + 1
+        # slot t expands the t states left by slot t - 1, two choices each
+        assert result.meta["states_expanded"] == sum(2 * t for t in range(1, horizon + 1))
         assert result.decisions == (Decision(1, 2),) * horizon
+
+    def test_states_expanded_counts_the_frontier(self):
+        # one slot expands only the empty prefix; over T slots each kept state is
+        # expanded m ways, and the frontier holds between 1 and min(m^t, peak) states
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            ps = random_profileset(rng, max_m=5, max_n=3)
+            model = random_model(rng, 1.0)
+            one = offline_optimal(random_feasible_trace(rng, ps, 1), ps, model)
+            assert one.meta["states_expanded"] == ps.m
+            horizon = int(rng.integers(2, 7))
+            meta = offline_optimal(random_feasible_trace(rng, ps, horizon), ps, model).meta
+            widest = [min(ps.m**t, meta["frontier_peak"]) for t in range(horizon)]
+            assert ps.m * horizon <= meta["states_expanded"] <= ps.m * sum(widest)
 
     def test_oracle_dominates_policies(self):
         rng = np.random.default_rng(41)
@@ -342,6 +371,86 @@ class TestOfflineOptimal:
             cap = offline_optimal(trace, ps, model).total
             for policy in POLICIES:
                 assert run_policy(policy, trace, ps, model).total <= cap + 1e-9
+
+
+class TestSharedPlan:
+    """run_policy and offline_optimal share the plan last built on a trace for the same menus and curve."""
+
+    def test_one_plan_per_instance(self, monkeypatch, worked_profiles, worked_model, worked_trace):
+        calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (policies.fit_table, policies.weight_schedule)}
+        for policy in POLICIES:
+            run_policy(policy, worked_trace, worked_profiles, worked_model)
+        offline_optimal(worked_trace, worked_profiles, worked_model)
+        assert [len(calls["fit_table"]), len(calls["weight_schedule"])] == [1, 1]
+
+    def test_new_menus_or_curve_get_a_new_plan(self, worked_profiles, worked_model, worked_trace):
+        steeper = make_model("linear", {"intercept": 0.4, "slope": 0.6}, 1.0)
+        cheaper = ProfileSet(retrain=[(0.0, 0.0), (1.0, 6.0)], infer=[(0.6, 2.0), (1.0, 5.0)])
+        for policy in POLICIES:
+            run_policy(policy, worked_trace, worked_profiles, worked_model)
+        for ps, model in ((worked_profiles, steeper), (cheaper, worked_model), (cheaper, steeper)):
+            fresh = RunPlan(worked_trace, ps, model)
+            for policy in POLICIES:
+                assert run_policy(policy, worked_trace, ps, model) == fresh.run(policy), policy
+            assert offline_optimal(worked_trace, ps, model) == fresh.oracle(10_000_000)
+        # the steeper curve changes the totals, so a plan kept across curves would be seen
+        assert run_policy("orric", worked_trace, worked_profiles, steeper) != run_policy(
+            "orric", worked_trace, worked_profiles, worked_model
+        )
+
+    def test_copied_trace_builds_its_own(self, monkeypatch, worked_profiles, worked_model, worked_trace):
+        expected = run_policy("orric", worked_trace, worked_profiles, worked_model)
+        original = _shared_plan(worked_trace, worked_profiles, worked_model)
+        carried = copy.copy(worked_trace)
+        carried.__dict__["_plan"] = original
+        calls = count_calls(monkeypatch, policies.fit_table)
+        twins = (copy.copy(worked_trace), pickle.loads(pickle.dumps(worked_trace)), carried)
+        for twin in twins:
+            assert twin == worked_trace
+            assert _shared_plan(twin, worked_profiles, worked_model).trace is twin
+            assert run_policy("orric", twin, worked_profiles, worked_model) == expected
+        assert len(calls) == len(twins)
+        assert _shared_plan(worked_trace, worked_profiles, worked_model) is original
+
+    def test_trace_freed_by_reference_counting(self, worked_profiles, worked_model):
+        # the trace keeps its plan, so the plan must not keep the trace: a cycle would
+        # hold every finished run's trace until the cyclic collector ran
+        trace = Trace(d=(1.0, 1.0), c=(12.0, 5.0), d_min=1.0, d_max=1.0)
+        run_policy("orric", trace, worked_profiles, worked_model)
+        gone = weakref.ref(trace)
+        gc.disable()
+        try:
+            del trace
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_results_are_never_shared(self, worked_profiles, worked_model, worked_trace):
+        for call in (
+            lambda: run_policy(KNOWLEDGE_DISTILLATION, worked_trace, worked_profiles, worked_model),
+            lambda: offline_optimal(worked_trace, worked_profiles, worked_model),
+        ):
+            first, second = call(), call()
+            assert first == second
+            assert first is not second
+            assert first.meta is not second.meta
+
+    def test_shared_matches_fresh(self):
+        rng = np.random.default_rng(61)
+        with pytest.warns(UserWarning):
+            flat = make_model("constant", {"value": 0.7}, 1.0)
+        for k in range(120):
+            if k % 2:
+                trace, ps, model = tie_heavy_instance(rng, flat if k % 4 == 1 else None)
+            else:
+                ps = random_profileset(rng, max_m=6, max_n=6)
+                model = random_model(rng, 1.0)
+                trace = random_feasible_trace(rng, ps, int(rng.integers(1, 7)))
+            shared = [run_policy(policy, trace, ps, model) for policy in POLICIES]
+            shared.append(offline_optimal(trace, ps, model))
+            fresh = [RunPlan(trace, ps, model).run(policy) for policy in POLICIES]
+            fresh.append(RunPlan(trace, ps, model).oracle(10_000_000))
+            assert shared == fresh
 
 
 class TestBudgetBoundary:
@@ -392,6 +501,28 @@ class TestBudgetBoundary:
         for result in results:
             assert result.total <= oracle.total + 1e-9 * abs(oracle.total), result.policy
 
+    @settings(max_examples=90, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        horizon=st.integers(min_value=1, max_value=6),
+        d_law=st.sampled_from(("constant", "uniform")),
+        c_law=st.sampled_from(("constant", "uniform", "scarce")),
+    )
+    def test_generated_capacity_laws(self, seed, horizon, d_law, c_law):
+        rng = np.random.default_rng(seed)
+        ps = random_profileset(rng, max_m=4, max_n=4)
+        model = random_model(rng, 1.0)
+        # constant and uniform budgets run from the cheapest inference at the largest volume to past the top pair
+        lo, hi = 10.0 * ps.min_infer_cost, 12.0 * ps.top_pair_cost
+        c_lo = float(rng.uniform(lo, hi))
+        spec = TraceSpec(horizon=horizon, d_law=d_law, d_lo=1.0, d_hi=10.0, c_law=c_law,
+                         c_lo=c_lo, c_hi=float(rng.uniform(c_lo, hi)), seed=seed)
+        trace = generate_trace(spec, ps)
+        oracle = offline_optimal(trace, ps, model)
+        for result in (oracle, *(run_policy(policy, trace, ps, model) for policy in POLICIES)):
+            assert all(used <= c for used, c in zip(result.per_slot_budget_use, trace.c)), result.policy
+            assert result.total <= oracle.total + 1e-9 * abs(oracle.total), result.policy
+
 
 class TestWitness:
     def test_bilinear_closed_form(self):
@@ -427,6 +558,22 @@ class TestWitness:
         for grid in (2, 3, 7, 32):
             expected = reference_witness(flat, 0.5, 1.0, grid_points=grid)
             assert nonconvexity_witness(flat, 0.5, 1.0, grid_points=grid) == expected
+
+    def test_flat_curve_wide_y_ranges(self):
+        # the gap's roundoff grows with y; a tolerance scaled by max|f| * y_hi keeps it from reading as a witness
+        with pytest.warns(UserWarning):
+            flat = make_model("constant", {"value": 0.7}, 1.0)
+        for y_lo, y_hi, grid in ((1000.0, 10000.0, 8), (0.1, 1e6, 8), (0.1, 1e6, 32), (1e-3, 1e9, 16)):
+            report = nonconvexity_witness(flat, y_lo, y_hi, grid_points=grid)
+            assert report == WitnessReport(positive=None, negative=None), (y_lo, y_hi, grid)
+            assert report == reference_witness(flat, y_lo, y_hi, grid_points=grid)
+
+    def test_rising_curve_found_at_wide_y_ranges(self, worked_model):
+        # the scaled tolerance still sees a real gap, which grows with y as the tolerance does
+        for y_lo, y_hi in ((1000.0, 10000.0), (0.1, 1e6)):
+            report = nonconvexity_witness(worked_model, y_lo, y_hi, grid_points=8)
+            assert report.complete
+            assert report == reference_witness(worked_model, y_lo, y_hi, grid_points=8)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(53)

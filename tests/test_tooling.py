@@ -6,7 +6,6 @@ import ast
 import importlib
 import pkgutil
 import shlex
-import sys
 from pathlib import Path
 
 import orric
@@ -14,6 +13,7 @@ import orric.cli as cli
 import orric.engine as engine
 import orric.policies as policies
 from orric.policies import INFERENCE_GREEDY, POLICIES, ScheduleWeights
+from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "tracer.py"
@@ -59,22 +59,6 @@ def test_scoring_calls_the_traced_name(monkeypatch, worked_profiles, worked_mode
     calls.clear()
     engine.offline_optimal(worked_trace, worked_profiles, worked_model)
     assert len(calls) == 1
-
-
-def count_calls(monkeypatch, fn) -> list:
-    """Rebind fn, in every loaded orric module that holds it, to a wrapper that logs each call."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "orric" or name.startswith("orric."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
 
 
 def test_run_shares_its_inputs(monkeypatch, tmp_path):
