@@ -199,9 +199,9 @@ def make_model(
     )
 
 
-def linear_bound_holds(model: AccuracyModel, grid_size: int = _GRID_POINTS) -> bool:
+def linear_bound_holds(model: AccuracyModel) -> bool:
     """Check f(x) <= L * x + g_at_max on a dense grid of the domain."""
-    xs = np.linspace(0.0, model.domain_max, grid_size)
+    xs = np.linspace(0.0, model.domain_max, _GRID_POINTS)
     return bool(np.all(model.eval(xs) <= model.L * xs + model.g_at_max + _SHAPE_TOL))
 
 

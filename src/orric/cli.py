@@ -20,10 +20,11 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
-    _shared_plan,
+    _schedule,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
+    run_policy,
     write_run_csv,
     write_trace_csv,
 )
@@ -104,8 +105,9 @@ def _rounded(obj):
     return obj
 
 
-def _write_json(path: Path, payload) -> None:
-    write_atomic(path, json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n")
+def _json_text(payload) -> str:
+    """The payload as sorted, indented JSON lines with its floats at 12 significant digits."""
+    return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _write_schedule_csv(path: Path, weights) -> None:
@@ -130,11 +132,10 @@ def _parse_policies(text: str) -> list[str]:
 def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> None:
     """Run the policies and the oracle, write every artefact and print the totals."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = _shared_plan(trace, profiles, model)
     summary: dict = {"inputs": inputs, "policies": {}}
     totals: dict[str, float] = {}
     for name in policies:
-        result = plan.run(name)
+        result = run_policy(name, trace, profiles, model)
         csv_name = f"{name}.csv"
         write_run_csv(out_dir / csv_name, result, trace)
         entry: dict = {"total": result.total, "csv": csv_name}
@@ -146,7 +147,7 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
     summary["oracle"] = {"skipped": "oracle disabled (cap 0)"}
     if oracle_cap > 0:
         try:
-            oracle = plan.oracle(oracle_cap)
+            oracle = offline_optimal(trace, profiles, model, cap=oracle_cap)
         except CapExceededError as exc:
             summary["oracle"] = {"skipped": str(exc)}
         else:
@@ -161,13 +162,13 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
                 name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
             }
 
-    _write_schedule_csv(out_dir / "schedule.csv", plan.schedule)
+    _write_schedule_csv(out_dir / "schedule.csv", _schedule(trace, profiles, model))
     summary["schedule_csv"] = "schedule.csv"
     try:
         summary["bounds"] = bounds_report(model, profiles, trace.d_min, trace.d_max, trace.horizon)
     except ValueError as exc:
         summary["bounds"] = {"skipped": str(exc)}
-    _write_json(out_dir / "summary.json", summary)
+    write_atomic(out_dir / "summary.json", _json_text(summary))
     for name in policies:
         print(f"{name}: {_fmt(totals[name])}")
     oracle = summary["oracle"]
@@ -232,10 +233,10 @@ def cmd_bounds(args) -> int:
     report = bounds_report(model, profiles, args.d_min, args.d_max, args.T)
     if report["crossover_horizon"] is None:
         report["crossover_horizon"] = "undefined"
-    text = json.dumps(_rounded(report), indent=2, sort_keys=True)
+    text = _json_text(report)
     if args.out:
-        write_atomic(args.out, text + "\n")
-    print(text)
+        write_atomic(args.out, text)
+    print(text, end="")
     return 0
 
 
@@ -270,10 +271,10 @@ def cmd_witness(args) -> int:
         "positive": None if report.positive is None else dataclasses.asdict(report.positive),
         "negative": None if report.negative is None else dataclasses.asdict(report.negative),
     }
-    text = json.dumps(_rounded(payload), indent=2, sort_keys=True)
+    text = _json_text(payload)
     if args.out:
-        write_atomic(args.out, text + "\n")
-    print(text)
+        write_atomic(args.out, text)
+    print(text, end="")
     if not report.complete:
         print("note: no witness for at least one sign (gap may be identically zero)", file=sys.stderr)
     return 0
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--cap", type=_non_negative, default=10_000_000,
+                   help="largest retraining-sequence space m^T the oracle accepts; a larger one exits 1")
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)
 

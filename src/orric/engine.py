@@ -12,15 +12,15 @@ the Pareto frontier of (volume-weighted gain so far, score so far), with
 greedy inference per slot once retraining is fixed, and it is the
 denominator for empirical performance ratios. What a run's policies, its
 oracle and its writers share is built once: a Trace caches its array
-view, its run-CSV columns and the RunPlan last built on it, which holds
-the fit table and the weight schedule.
+view and its run-CSV columns, and keeps its fit table for the menus
+object last given and orric's weight schedule for the curve and menu
+values last given.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -59,6 +59,8 @@ __all__ = [
 
 # u and capacity are spliced in as the trace's pre-formatted %.12g text
 _RUN_ROW = "%d,%d,%d,%s,%.12g,%.12g,%.12g,%s"
+# a curvature-witness gap counts beyond this share of the largest term, max|f| * y_hi
+_WITNESS_TOL = 1e-12
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -131,11 +133,6 @@ class Trace:
         """The run CSV's u and capacity columns as %.12g text, formatted on the first write."""
         return tuple(["%.12g" % x for x in self.arrays.u.tolist()]), tuple(["%.12g" % x for x in self.c])
 
-    def __getstate__(self) -> dict:
-        # a copy or an unpickled trace builds its own plan (see _shared_plan); the plan's weak
-        # reference to this trace cannot be pickled
-        return {key: value for key, value in self.__dict__.items() if key != "_plan"}
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -172,10 +169,43 @@ class RunResult:
         return tuple(Decision(i, j) for i, j in self.indices.tolist())
 
 
+def _fit_table(trace: Trace, profiles: ProfileSet) -> np.ndarray:
+    """The trace's read-only fit table for these menus, built once per menus object.
+
+    The trace keeps the menus and the table in its __dict__, as it keeps
+    its cached properties; another menus object replaces them.
+    """
+    kept = trace.__dict__.get("_fit_table")
+    if kept is None or kept[0] is not profiles:
+        view = trace.arrays
+        jbest = fit_table(view.d, view.c, profiles)
+        jbest.flags.writeable = False
+        kept = trace.__dict__["_fit_table"] = (profiles, jbest)
+    return kept[1]
+
+
+def _schedule(
+    trace: Trace, profiles: ProfileSet, model: AccuracyModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only weight_schedule arrays (v, w, lam) of the trace's horizon and volume bounds.
+
+    The trace keeps them with the curve and menu values they were built
+    from, every value weight_schedule reads besides the trace's own, and
+    rebuilds them when one of those values differs.
+    """
+    key = (model.L, model.f_at_max, model.g_at_max, profiles.min_profit)
+    kept = trace.__dict__.get("_schedule")
+    if kept is None or kept[0] != key:
+        weights = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+        for column in weights:
+            column.flags.writeable = False
+        kept = trace.__dict__["_schedule"] = (key, weights)
+    return kept[1]
+
+
 def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
     """Every slot must afford at least the cheapest inference configuration."""
-    view = trace.arrays
-    fit_table(view.d, view.c, profiles)
+    _fit_table(trace, profiles)
 
 
 def _check_domain(profiles: ProfileSet, model: AccuracyModel) -> None:
@@ -232,122 +262,11 @@ def evaluate_objective(
     )
 
 
-class RunPlan:
-    """What one run's policies, oracle and writers share, built once per run.
-
-    It holds the trace's fit table and builds orric's weight schedule on
-    first use. run_policy and offline_optimal share one plan while they
-    are given the same trace, menus and curve objects: the trace keeps
-    the plan last built on it. The plan reads the trace, the menus and
-    the model it was built from; none of them may change while it is in
-    use. It holds its trace weakly, so the caller keeps the trace alive.
-    """
-
-    def __init__(self, trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> None:
-        # a strong reference would make a cycle with the trace that keeps this plan,
-        # and hold every finished run's trace until the cyclic collector ran
-        self._trace = weakref.ref(trace)
-        self.profiles, self.model = profiles, model
-        view = trace.arrays
-        self.jbest = fit_table(view.d, view.c, profiles)
-        self.jbest.flags.writeable = False
-
-    @property
-    def trace(self) -> Trace:
-        return self._trace()
-
-    @cached_property
-    def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only weight_schedule arrays (v, w, lam) of the trace's horizon and volume bounds."""
-        trace = self.trace
-        weights = weight_schedule(trace.horizon, self.model, trace.d_min, trace.d_max, self.profiles.min_profit)
-        for column in weights:
-            column.flags.writeable = False
-        return weights
-
-    def run(self, policy: str) -> RunResult:
-        """A named policy's decisions for every slot, scored (see run_policy)."""
-        trace, profiles = self.trace, self.profiles
-        horizon = trace.horizon
-        schedule = self.schedule if policy == ORRIC else None
-        indices = table_decisions(policy, self.jbest, np.arange(1, horizon + 1), horizon,
-                                  trace.arrays.u, profiles, schedule)
-        meta: dict = {}
-        if policy == KNOWLEDGE_DISTILLATION:
-            top = (profiles.m, profiles.n)
-            meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
-        return _labelled(evaluate_objective(indices, trace, profiles, self.model), policy, meta)
-
-    def oracle(self, cap: int) -> RunResult:
-        """The exact offline optimum (see offline_optimal)."""
-        trace, profiles, model, jbest = self.trace, self.profiles, self.model, self.jbest
-        _check_domain(profiles, model)
-        m, horizon = profiles.m, trace.horizon
-        total_sequences = m**horizon
-        if total_sequences > cap:
-            raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
-
-        menus = profiles.arrays
-        d = trace.arrays.d
-        fits = jbest >= 0
-        slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
-        # an unaffordable pair gets z = -inf: it sorts last and is never kept
-        dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
-        d_cum = np.cumsum(d)
-
-        z = np.zeros(1)
-        score = np.zeros(1)
-        trail: list[np.ndarray] = []
-        peak = 1
-        expanded = 0
-        for t in range(horizon):
-            x = z / d_cum[t - 1] if t else z
-            fx = model.eval(np.clip(x, 0.0, model.domain_max))
-            # candidate k * m + i extends state k by retraining choice i, so
-            # candidates are in prefix order when the states are
-            zc = (z[:, None] + dz[t]).ravel()
-            sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
-            expanded += zc.size
-            # z descending, then score descending; the stable sort keeps prefix order within ties
-            order = np.lexsort((-sc, -zc))
-            zs, ss = zc[order], sc[order]
-            # drop a state when one sorted before it (so with at least its z) scores
-            # strictly more, or when it repeats its predecessor's z: that earlier
-            # prefix scores at least as much
-            keep = np.empty(order.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
-            kept = np.sort(order[keep])
-            z, score = zc[kept], sc[kept]
-            trail.append(kept)
-            peak = max(peak, kept.size)
-
-        k = int(np.argmax(score))
-        choice = np.empty(horizon, dtype=int)
-        for t in range(horizon - 1, -1, -1):
-            k, choice[t] = divmod(int(trail[t][k]), m)
-        indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-        meta = {"enumerated_sequences": total_sequences, "frontier_peak": peak, "states_expanded": expanded}
-        return _labelled(evaluate_objective(indices, trace, profiles, model), "oracle", meta)
-
-
 def _labelled(result: RunResult, policy: str, meta: dict) -> RunResult:
     """Name a fresh result from evaluate_objective in place, sparing a rebuild's copy of its indices."""
     object.__setattr__(result, "policy", policy)
     object.__setattr__(result, "meta", meta)
     return result
-
-
-def _shared_plan(trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> RunPlan:
-    """The plan last built on the trace if its trace, menus and curve are these objects, else a new one.
-
-    The plan is kept in the trace's __dict__, as the trace's cached
-    properties are, and is never used for another trace object.
-    """
-    plan = trace.__dict__.get("_plan")
-    if plan is None or plan.trace is not trace or plan.profiles is not profiles or plan.model is not model:
-        plan = trace.__dict__["_plan"] = RunPlan(trace, profiles, model)
-    return plan
 
 
 def run_policy(
@@ -360,11 +279,21 @@ def run_policy(
 
     Decisions are open loop: they depend on the slot index and budget,
     never on realized performance, so the sequence is built first and
-    scored with evaluate_objective afterwards. Calls given the same
-    trace, menus and curve objects, offline_optimal's included, share
-    one RunPlan; every call returns a new result.
+    scored with evaluate_objective afterwards. The trace keeps its fit
+    table per menus object and orric's weight schedule per curve and menu
+    values, so calls on one trace, offline_optimal's included, build
+    each once; every call returns a new result.
     """
-    return _shared_plan(trace, profiles, model).run(policy)
+    jbest = _fit_table(trace, profiles)
+    horizon = trace.horizon
+    schedule = _schedule(trace, profiles, model) if policy == ORRIC else None
+    indices = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon,
+                              trace.arrays.u, profiles, schedule)
+    meta: dict = {}
+    if policy == KNOWLEDGE_DISTILLATION:
+        top = (profiles.m, profiles.n)
+        meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
+    return _labelled(evaluate_objective(indices, trace, profiles, model), policy, meta)
 
 
 def offline_optimal(
@@ -392,11 +321,59 @@ def offline_optimal(
     reported as meta["enumerated_sequences"], must not exceed cap.
     meta["frontier_peak"] is the largest number of states kept after a
     slot, and meta["states_expanded"] the number of candidates scored,
-    the sum over slots of the frontier size times m. The oracle shares
-    its RunPlan with run_policy calls given the same trace, menus and
-    curve objects.
+    the sum over slots of the frontier size times m. The oracle reads
+    the fit table the trace keeps for these menus (see run_policy).
     """
-    return _shared_plan(trace, profiles, model).oracle(cap)
+    # the fit table first, so an infeasible trace is reported before the domain and cap checks
+    jbest = _fit_table(trace, profiles)
+    _check_domain(profiles, model)
+    m, horizon = profiles.m, trace.horizon
+    total_sequences = m**horizon
+    if total_sequences > cap:
+        raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
+
+    menus = profiles.arrays
+    d = trace.arrays.d
+    fits = jbest >= 0
+    slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
+    # an unaffordable pair gets z = -inf: it sorts last and is never kept
+    dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
+    d_cum = np.cumsum(d)
+
+    z = np.zeros(1)
+    score = np.zeros(1)
+    trail: list[np.ndarray] = []
+    peak = 1
+    expanded = 0
+    for t in range(horizon):
+        x = z / d_cum[t - 1] if t else z
+        fx = model.eval(np.clip(x, 0.0, model.domain_max))
+        # candidate k * m + i extends state k by retraining choice i, so
+        # candidates are in prefix order when the states are
+        zc = (z[:, None] + dz[t]).ravel()
+        sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
+        expanded += zc.size
+        # z descending, then score descending; the stable sort keeps prefix order within ties
+        order = np.lexsort((-sc, -zc))
+        zs, ss = zc[order], sc[order]
+        # drop a state when one sorted before it (so with at least its z) scores
+        # strictly more, or when it repeats its predecessor's z: that earlier
+        # prefix scores at least as much
+        keep = np.empty(order.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
+        kept = np.sort(order[keep])
+        z, score = zc[kept], sc[kept]
+        trail.append(kept)
+        peak = max(peak, kept.size)
+
+    k = int(np.argmax(score))
+    choice = np.empty(horizon, dtype=int)
+    for t in range(horizon - 1, -1, -1):
+        k, choice[t] = divmod(int(trail[t][k]), m)
+    indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
+    meta = {"enumerated_sequences": total_sequences, "frontier_peak": peak, "states_expanded": expanded}
+    return _labelled(evaluate_objective(indices, trace, profiles, model), "oracle", meta)
 
 
 def mixture_gap(f: Callable[[float], float], x1, x2, y1, y2, alpha: float) -> float:
@@ -439,7 +416,6 @@ def nonconvexity_witness(
     y_lo: float,
     y_hi: float,
     grid_points: int = 32,
-    tol: float = 1e-12,
 ) -> WitnessReport:
     """Search a lattice for mixtures with positive and negative gaps.
 
@@ -447,9 +423,9 @@ def nonconvexity_witness(
     open unit interval, grid_points values each. The first hit of each
     sign in scan order (alpha, then x1, x2, y1, y2) is reported; missing
     sides (a constant curve has gap identically zero) are reported as
-    None, not errors. tol is relative: a gap counts once its size
-    exceeds tol * max|f| * y_hi, the largest term's magnitude, so
-    roundoff on a flat curve is no witness at any y scale. The search
+    None, not errors. A gap counts once its size exceeds 1e-12 times
+    max|f| * y_hi, the largest term's magnitude, so roundoff on a flat
+    curve is no witness at any y scale. The search
     holds one x1 row of the lattice at a time, grid_points**3 doubles,
     and stops once both signs are found; a search that finds no witness
     visits grid_points**5 points.
@@ -463,7 +439,7 @@ def nonconvexity_witness(
     alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     fx = np.asarray(model.eval(xs), dtype=float)
 
-    bound = tol * float(np.abs(fx).max()) * y_hi
+    bound = _WITNESS_TOL * float(np.abs(fx).max()) * y_hi
     sides = {"positive": (np.greater, bound), "negative": (np.less, -bound)}
     hits: dict[str, MixturePoint] = {}
     row = np.empty((grid_points,) * 3)

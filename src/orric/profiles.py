@@ -273,10 +273,10 @@ def _json_menu(data: dict, menu: str, cls, payoff: str) -> list:
     return configs
 
 
-def load_profiles(path, auto_insert_zero: bool = True) -> ProfileSet:
-    """Read menus from a JSON or CSV file and return them pruned."""
+def load_profiles(path) -> ProfileSet:
+    """Read menus from a JSON or CSV file and return them pruned, with the no-op retraining entry."""
     retrain, infer = read_menus(path)
-    return prune_dominated(retrain, infer, auto_insert_zero=auto_insert_zero)
+    return prune_dominated(retrain, infer)
 
 
 def save_profiles(path, profiles: ProfileSet) -> None:

@@ -420,7 +420,7 @@ def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, va
 
 
 class TestSharedPlan:
-    """Every file a run writes from its shared plan equals the public per-policy path's."""
+    """Every file a run writes equals the public per-policy path's and an independent rebuild's."""
 
     @staticmethod
     def independent_csv(name, trace, profiles, model):

@@ -38,7 +38,7 @@ from orric import (
     write_trace_csv,
 )
 from orric.cli import _write_schedule_csv
-from orric.engine import RunPlan, WitnessReport, _kahan_cumsum, _shared_plan
+from orric.engine import WitnessReport, _fit_table, _kahan_cumsum, _schedule
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     FAMILY_POOL,
@@ -373,50 +373,77 @@ class TestOfflineOptimal:
                 assert run_policy(policy, trace, ps, model).total <= cap + 1e-9
 
 
+def fresh(trace: Trace) -> Trace:
+    """An equal trace that keeps nothing yet."""
+    return Trace(d=trace.d, c=trace.c, d_min=trace.d_min, d_max=trace.d_max)
+
+
+def solve(trace, profiles, model) -> list:
+    return [run_policy(policy, trace, profiles, model) for policy in POLICIES] + [
+        offline_optimal(trace, profiles, model)
+    ]
+
+
 class TestSharedPlan:
-    """run_policy and offline_optimal share the plan last built on a trace for the same menus and curve."""
+    """A trace keeps its fit table per menus object and its weight schedule per curve and menu values."""
 
     def test_one_plan_per_instance(self, monkeypatch, worked_profiles, worked_model, worked_trace):
         calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (policies.fit_table, policies.weight_schedule)}
-        for policy in POLICIES:
-            run_policy(policy, worked_trace, worked_profiles, worked_model)
-        offline_optimal(worked_trace, worked_profiles, worked_model)
+        solve(worked_trace, worked_profiles, worked_model)
         assert [len(calls["fit_table"]), len(calls["weight_schedule"])] == [1, 1]
+        kept = (_fit_table(worked_trace, worked_profiles), *_schedule(worked_trace, worked_profiles, worked_model))
+        assert not any(array.flags.writeable for array in kept)
 
     def test_new_menus_or_curve_get_a_new_plan(self, worked_profiles, worked_model, worked_trace):
+        # other costs change the fit table; another curve, L alone and min_profit alone
+        # change the schedule
         steeper = make_model("linear", {"intercept": 0.4, "slope": 0.6}, 1.0)
         cheaper = ProfileSet(retrain=[(0.0, 0.0), (1.0, 6.0)], infer=[(0.6, 2.0), (1.0, 5.0)])
-        for policy in POLICIES:
-            run_policy(policy, worked_trace, worked_profiles, worked_model)
-        for ps, model in ((worked_profiles, steeper), (cheaper, worked_model), (cheaper, steeper)):
-            fresh = RunPlan(worked_trace, ps, model)
-            for policy in POLICIES:
-                assert run_policy(policy, worked_trace, ps, model) == fresh.run(policy), policy
-            assert offline_optimal(worked_trace, ps, model) == fresh.oracle(10_000_000)
-        # the steeper curve changes the totals, so a plan kept across curves would be seen
-        assert run_policy("orric", worked_trace, worked_profiles, steeper) != run_policy(
-            "orric", worked_trace, worked_profiles, worked_model
-        )
+        poorer = ProfileSet(retrain=[(0.0, 0.0), (1.0, 10.0)], infer=[(0.3, 2.0), (1.0, 5.0)])
+        flatter = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0, L_override=0.2)
+        # f_at_max and g_at_max equal to the last bit, L three times larger
+        faint = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0, L_override=1e-17)
+        fainter = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0, L_override=3e-17)
+        assert (faint.f_at_max, faint.g_at_max) == (fainter.f_at_max, fainter.g_at_max)
+        variants = [(worked_profiles, worked_model), (worked_profiles, steeper), (cheaper, worked_model),
+                    (poorer, worked_model), (worked_profiles, flatter), (worked_profiles, faint),
+                    (worked_profiles, fainter), (cheaper, flatter), (worked_profiles, worked_model)]
+        for ps, model in variants:
+            reference = fresh(worked_trace)
+            assert solve(worked_trace, ps, model) == solve(reference, ps, model)
+            for kept, built in zip(_schedule(worked_trace, ps, model), _schedule(reference, ps, model)):
+                assert np.array_equal(kept, built)
+            assert np.array_equal(_fit_table(worked_trace, ps), _fit_table(reference, ps))
+        # a fit table or schedule kept from one variant to the next would be seen
+        assert not np.array_equal(_fit_table(fresh(worked_trace), worked_profiles),
+                                  _fit_table(fresh(worked_trace), cheaper))
+        for before, after in (((worked_profiles, worked_model), (worked_profiles, steeper)),
+                              ((cheaper, worked_model), (poorer, worked_model)),
+                              ((poorer, worked_model), (worked_profiles, flatter)),
+                              ((worked_profiles, faint), (worked_profiles, fainter))):
+            assert not np.array_equal(_schedule(fresh(worked_trace), *before)[0],
+                                      _schedule(fresh(worked_trace), *after)[0])
 
-    def test_copied_trace_builds_its_own(self, monkeypatch, worked_profiles, worked_model, worked_trace):
-        expected = run_policy("orric", worked_trace, worked_profiles, worked_model)
-        original = _shared_plan(worked_trace, worked_profiles, worked_model)
-        carried = copy.copy(worked_trace)
-        carried.__dict__["_plan"] = original
+    def test_copied_trace_agrees(self, monkeypatch, worked_profiles, worked_model, worked_trace):
+        expected = solve(fresh(worked_trace), worked_profiles, worked_model)
+        solve(worked_trace, worked_profiles, worked_model)
         calls = count_calls(monkeypatch, policies.fit_table)
-        twins = (copy.copy(worked_trace), pickle.loads(pickle.dumps(worked_trace)), carried)
-        for twin in twins:
-            assert twin == worked_trace
-            assert _shared_plan(twin, worked_profiles, worked_model).trace is twin
-            assert run_policy("orric", twin, worked_profiles, worked_model) == expected
-        assert len(calls) == len(twins)
-        assert _shared_plan(worked_trace, worked_profiles, worked_model) is original
+        copied = copy.copy(worked_trace)
+        assert copied == worked_trace
+        assert solve(copied, worked_profiles, worked_model) == expected
+        # equal data, so the copy shares the fit table its menus object was given
+        assert len(calls) == 0
+        unpickled = pickle.loads(pickle.dumps(worked_trace))
+        assert unpickled == worked_trace
+        assert solve(unpickled, worked_profiles, worked_model) == expected
+        # the unpickled trace holds a copy of the menus, not this object
+        assert len(calls) == 1
 
     def test_trace_freed_by_reference_counting(self, worked_profiles, worked_model):
-        # the trace keeps its plan, so the plan must not keep the trace: a cycle would
-        # hold every finished run's trace until the cyclic collector ran
+        # what the trace keeps must not keep the trace: a cycle would hold every
+        # finished run's trace until the cyclic collector ran
         trace = Trace(d=(1.0, 1.0), c=(12.0, 5.0), d_min=1.0, d_max=1.0)
-        run_policy("orric", trace, worked_profiles, worked_model)
+        solve(trace, worked_profiles, worked_model)
         gone = weakref.ref(trace)
         gc.disable()
         try:
@@ -446,11 +473,10 @@ class TestSharedPlan:
                 ps = random_profileset(rng, max_m=6, max_n=6)
                 model = random_model(rng, 1.0)
                 trace = random_feasible_trace(rng, ps, int(rng.integers(1, 7)))
-            shared = [run_policy(policy, trace, ps, model) for policy in POLICIES]
-            shared.append(offline_optimal(trace, ps, model))
-            fresh = [RunPlan(trace, ps, model).run(policy) for policy in POLICIES]
-            fresh.append(RunPlan(trace, ps, model).oracle(10_000_000))
-            assert shared == fresh
+            shared = solve(trace, ps, model)
+            assert shared == [
+                run_policy(policy, fresh(trace), ps, model) for policy in POLICIES
+            ] + [offline_optimal(fresh(trace), ps, model)]
 
 
 class TestBudgetBoundary:

@@ -74,9 +74,19 @@ def test_run_shares_its_inputs(monkeypatch, tmp_path):
     assert (tmp_path / "oracle.csv").exists()
     assert len(calls["evaluate_objective"]) == len(POLICIES) + 1
     assert len(calls["write_run_csv"]) == len(POLICIES) + 1
-    # generate_trace's feasibility check and the run's plan
-    assert len(calls["fit_table"]) <= 2
+    # generate_trace's feasibility check builds the fit table the run reads
+    assert len(calls["fit_table"]) == 1
     assert len(calls["weight_schedule"]) == 1
+
+
+def test_cli_runs_through_the_traced_names(monkeypatch, tmp_path):
+    # the engine.run_policy and engine.oracle layers see a CLI run's policies and oracle
+    table = traced_names()
+    assert table["engine.run_policy"] == [("orric.engine", "run_policy")]
+    assert table["engine.oracle"] == [("orric.engine", "offline_optimal")]
+    calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (engine.run_policy, engine.offline_optimal)}
+    assert cli.main(["replay", "fog", "--T", "8", "--out", str(tmp_path)]) == 0
+    assert [len(calls["run_policy"]), len(calls["offline_optimal"])] == [len(POLICIES), 1]
 
 
 def test_readme_commands_parse():
