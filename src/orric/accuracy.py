@@ -110,6 +110,10 @@ class AccuracyModel:
     which makes L * x + g_at_max an upper bound on the curve over the
     whole domain. The constant family is the one documented exception,
     carrying L = 0.
+
+    eval is the checked entry for x from outside the package. Callers
+    inside the package that clip their own x to [0, domain_max] call the
+    family function _fn on it directly, which eval would return unchanged.
     """
 
     family: str
@@ -121,7 +125,11 @@ class AccuracyModel:
     _fn: Callable = field(repr=False, compare=False)
 
     def eval(self, x):
-        """Evaluate the curve at x (scalar or array), rejecting out-of-domain input."""
+        """Evaluate the curve at x (scalar or array), rejecting out-of-domain input.
+
+        x may stray outside [0, domain_max] by roundoff, which is clipped;
+        callers that clip x themselves call _fn instead (see the class).
+        """
         arr = np.asarray(x, dtype=float)
         if (arr < -_DOMAIN_TOL).any() or (arr > self.domain_max + _DOMAIN_TOL).any():
             raise ValueError(f"curve argument outside [0, {self.domain_max}]")

@@ -94,6 +94,8 @@ class Trace:
 
     The declared bounds (d_min, d_max) are what a scheduler may assume
     about future volumes; every realized volume must fall inside them.
+    A pickle or copy holds the fields only and is rebuilt through the
+    constructor, so its caches are built afresh, read-only, on first use.
     """
 
     d: tuple[float, ...]
@@ -114,6 +116,9 @@ class Trace:
             raise ValueError("data volume outside the declared [d_min, d_max] bounds")
         if min(self.c) < 0.0:
             raise ValueError("capacities must be >= 0")
+
+    def __reduce__(self):
+        return type(self), (self.d, self.c, self.d_min, self.d_max)
 
     @property
     def horizon(self) -> int:
@@ -141,7 +146,8 @@ class RunResult:
     indices holds the decisions as a read-only (T, 2) integer array of
     1-based (retrain, infer) menu indices, copied from any (T, 2)
     array-like; decisions is the same run as Decision tuples, built on
-    first access. Two results are equal when every field is.
+    first access. Two results are equal when every field is. A pickle or
+    copy is rebuilt through the constructor, which freezes its indices.
     """
 
     indices: np.ndarray
@@ -155,6 +161,9 @@ class RunResult:
         indices = np.array(self.indices)
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __eq__(self, other) -> bool:
         # an array compares element-wise, so the indices are compared whole
@@ -250,10 +259,11 @@ def evaluate_objective(
         k = int(over.argmax())
         raise InfeasibleError(f"slot {k + 1}: decision uses {float(used[k])} of capacity {trace.c[k]}")
     z = _kahan_cumsum((d * menus.gain[i]).tolist())
-    # slot 1 has no history; the clip is a roundoff guard, as x is inside [0, max_gain]
+    # slot 1 has no history. x is inside [0, max_gain] but for roundoff, and
+    # this clip is the only guard against it: the curve is called unchecked
     x = np.zeros(horizon)
     x[1:] = np.minimum(np.maximum(np.divide(z[:-1], view.d_sum[:-1]), 0.0), model.domain_max)
-    perfs = (model.eval(x) * menus.profit[j] * d).tolist()
+    perfs = (model._fn(x) * menus.profit[j] * d).tolist()
     return RunResult(
         indices=index,
         per_slot_perf=tuple(perfs),
@@ -335,7 +345,7 @@ def offline_optimal(
     menus = profiles.arrays
     d = trace.arrays.d
     fits = jbest >= 0
-    slot_profit = np.where(fits, menus.profit[np.clip(jbest, 0, None)], -np.inf)
+    slot_profit = np.where(fits, menus.profit[np.maximum(jbest, 0)], -np.inf)
     # an unaffordable pair gets z = -inf: it sorts last and is never kept
     dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
     d_cum = np.cumsum(d)
@@ -347,7 +357,8 @@ def offline_optimal(
     expanded = 0
     for t in range(horizon):
         x = z / d_cum[t - 1] if t else z
-        fx = model.eval(np.clip(x, 0.0, model.domain_max))
+        # the clip is a roundoff guard, and the only one: the curve is called unchecked
+        fx = model._fn(np.minimum(np.maximum(x, 0.0), model.domain_max))
         # candidate k * m + i extends state k by retraining choice i, so
         # candidates are in prefix order when the states are
         zc = (z[:, None] + dz[t]).ravel()
@@ -447,7 +458,7 @@ def nonconvexity_witness(
     for alpha in alphas:
         a = float(alpha)
         xbar = a * xs[:, None] + (1.0 - a) * xs[None, :]
-        fbar = model.eval(np.clip(xbar, 0.0, model.domain_max))
+        fbar = model._fn(np.clip(xbar, 0.0, model.domain_max))
         ybar = a * ys[:, None] + (1.0 - a) * ys[None, :]
         fx2 = ((1.0 - a) * fx)[:, None, None]
         for i1 in range(grid_points):

@@ -98,7 +98,9 @@ class ProfileSet:
 
     Both menus are strictly ascending in cost and payoff, and the
     retraining menu starts with the free no-op configuration, so a
-    higher index always means paying more for more.
+    higher index always means paying more for more. A pickle or copy
+    holds the menus only and is rebuilt through the constructor, so its
+    arrays are built afresh, read-only, on first use.
     """
 
     retrain: tuple[RetrainConfig, ...]
@@ -116,6 +118,9 @@ class ProfileSet:
             raise ValueError("retraining menu must start with the (gain 0, cost 0) no-op entry")
         _check_strictly_monotone([(e.gain, e.cost) for e in self.retrain], "retraining")
         _check_strictly_monotone([(e.profit, e.cost) for e in self.infer], "inference")
+
+    def __reduce__(self):
+        return type(self), (self.retrain, self.infer)
 
     # Extrema fall out of the ordering: menus are ascending in both axes.
     @property

@@ -47,6 +47,17 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def curve_spy(model: AccuracyModel) -> tuple[AccuracyModel, list]:
+    """An equal model whose family function logs a copy of each argument it is called on."""
+    calls = []
+
+    def recording(x):
+        calls.append(np.array(x, dtype=float))
+        return model._fn(x)
+
+    return replace(model, _fn=recording), calls
+
+
 def record_verdict(number: int, ok: bool, detail: str) -> str:
     """Queue one acceptance verdict for the terminal summary."""
     line = f"criterion {number:02d}: {'PASS' if ok else 'FAIL'}  {detail}"

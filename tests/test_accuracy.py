@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,25 @@ class TestEval:
         # roundoff-sized excursions clip instead of raising
         assert m.eval(-1e-13) == 0.5
         assert m.eval(1.0 + 1e-13) == pytest.approx(0.8, abs=1e-12)
+
+    def test_family_function_matches_eval(self):
+        # callers that clip x themselves call _fn, which must give eval's values to the bit
+        rng = np.random.default_rng(73)
+        params = {
+            "linear": {"intercept": 0.5, "slope": 0.3},
+            "shifted-power": {"limit": 0.9, "scale": 0.4, "shift": 1.0, "power": 1.5},
+            "exponential-saturation": {"limit": 0.8, "scale": 0.3, "rate": 2.0},
+            "shifted-log": {"scale": 0.2, "shift": 1.0, "offset": 0.5},
+            "constant": {"value": 0.7},
+        }
+        assert set(params) == set(FAMILIES)
+        for family in FAMILIES:
+            for domain_max in (0.37, 1.0, 2.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    m = make_model(family, params[family], domain_max)
+                x = np.concatenate(([0.0, domain_max], rng.uniform(0.0, domain_max, 64), [domain_max, 0.0]))
+                assert (m._fn(x) == m.eval(x)).all(), (family, domain_max)
 
 
 class TestSerialization:

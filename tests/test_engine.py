@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import orric.atomic as atomic
 import orric.policies as policies
 from orric import (
+    AccuracyModel,
     CapExceededError,
     Decision,
     InfeasibleError,
@@ -43,6 +44,7 @@ from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
 from conftest import (
     FAMILY_POOL,
     count_calls,
+    curve_spy,
     enumerate_optimal,
     naive_optimal_total,
     random_feasible_trace,
@@ -428,16 +430,13 @@ class TestSharedPlan:
         expected = solve(fresh(worked_trace), worked_profiles, worked_model)
         solve(worked_trace, worked_profiles, worked_model)
         calls = count_calls(monkeypatch, policies.fit_table)
-        copied = copy.copy(worked_trace)
-        assert copied == worked_trace
-        assert solve(copied, worked_profiles, worked_model) == expected
-        # equal data, so the copy shares the fit table its menus object was given
-        assert len(calls) == 0
-        unpickled = pickle.loads(pickle.dumps(worked_trace))
-        assert unpickled == worked_trace
-        assert solve(unpickled, worked_profiles, worked_model) == expected
-        # the unpickled trace holds a copy of the menus, not this object
-        assert len(calls) == 1
+        for copied in (copy.copy(worked_trace), pickle.loads(pickle.dumps(worked_trace))):
+            assert copied == worked_trace
+            # a copy holds the fields only, so it keeps nothing of the run yet
+            assert copied.__dict__.keys() == {"d", "c", "d_min", "d_max"}
+            assert solve(copied, worked_profiles, worked_model) == expected
+        # each copy builds its own fit table
+        assert len(calls) == 2
 
     def test_trace_freed_by_reference_counting(self, worked_profiles, worked_model):
         # what the trace keeps must not keep the trace: a cycle would hold every
@@ -477,6 +476,117 @@ class TestSharedPlan:
             assert shared == [
                 run_policy(policy, fresh(trace), ps, model) for policy in POLICIES
             ] + [offline_optimal(fresh(trace), ps, model)]
+
+
+def reachable_arrays(obj) -> list:
+    """Every numpy array obj holds, through instance dicts, tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [array for item in items for array in reachable_arrays(item)]
+
+
+class TestPickle:
+    """A pickle or copy of a trace, menus or result holds the fields only and is rebuilt read-only."""
+
+    @pytest.mark.parametrize("restore", [lambda objs: pickle.loads(pickle.dumps(objs)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip_is_read_only(self, restore, worked_profiles, worked_model, worked_trace):
+        expected = solve(fresh(worked_trace), worked_profiles, worked_model)
+        results = solve(worked_trace, worked_profiles, worked_model)
+        worked_trace._run_csv_columns
+        trace, profiles, back = restore((worked_trace, worked_profiles, results))
+        assert (trace, profiles, back) == (worked_trace, worked_profiles, results)
+        # only the results' indices come back; the caches are not carried
+        assert len(reachable_arrays((trace, profiles, back))) == len(results)
+        with pytest.raises(ValueError):
+            trace.arrays.d[0] = 2.0
+        assert solve(trace, profiles, worked_model) == expected
+        # the trace's columns, fit table and schedule, the menus' columns and the indices
+        arrays = reachable_arrays((trace, profiles, back))
+        assert len(arrays) >= 4 + 1 + 3 + 4 + len(results)
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_used_objects_pickle_as_fresh_ones(self, worked_profiles, worked_model, worked_trace):
+        unused = pickle.dumps((fresh(worked_trace), ProfileSet(worked_profiles.retrain, worked_profiles.infer)))
+        solve(worked_trace, worked_profiles, worked_model)
+        worked_trace._run_csv_columns
+        assert pickle.dumps((worked_trace, worked_profiles)) == unused
+
+
+def top_retraining_instance(rng):
+    """Menus, a curve whose domain ends at the top gain, and a budget that affords the top pair in every slot."""
+    ps = random_profileset(rng, max_m=4, max_n=3, min_m=2)
+    model = random_model(rng, ps.max_gain)
+    d = rng.uniform(1.0, 10.0, int(rng.integers(2, 20)))
+    return ps, model, Trace(d=tuple(d), c=tuple(1.1 * ps.top_pair_cost * d), d_min=1.0, d_max=10.0)
+
+
+def inside_domain(calls, model) -> bool:
+    return all(((0.0 <= x) & (x <= model.domain_max)).all() for x in calls)
+
+
+class TestCurveCalls:
+    """The scorer, the oracle and the witness clip x themselves and call the family function unchecked."""
+
+    def test_roundoff_above_the_top_gain_is_clipped(self):
+        # with top retraining in every slot z / D is the top gain but for roundoff, and
+        # the curve's domain ends there: the callers' clips are the only guard
+        rng = np.random.default_rng(67)
+        above = {"scorer": 0, "oracle": 0}
+        for _ in range(200):
+            ps, model, trace = top_retraining_instance(rng)
+            spy, calls = curve_spy(model)
+            top = [Decision(ps.m, ps.n)] * trace.horizon
+            cap = ps.m**trace.horizon
+            assert evaluate_objective(top, trace, ps, spy) == evaluate_objective(top, trace, ps, model)
+            assert offline_optimal(trace, ps, spy, cap=cap) == offline_optimal(trace, ps, model, cap=cap)
+            assert inside_domain(calls, model)
+            # the unclipped x of the top sequence: the scorer's Kahan sums, the oracle's plain ones
+            d = trace.arrays.d
+            z = np.array(_kahan_cumsum((d * ps.max_gain).tolist()))
+            above["scorer"] += bool((z[:-1] / trace.arrays.d_sum[:-1] > ps.max_gain).any())
+            above["oracle"] += bool((np.cumsum(d * ps.max_gain)[:-1] / np.cumsum(d)[:-1] > ps.max_gain).any())
+        assert min(above.values()) >= 100, above
+
+    def test_witness_clips_its_mixtures(self):
+        # at domain_max 0.9 and grid 8 one alpha mixes two lattice points to above 0.9;
+        # a flat curve has no witness, so its search visits every alpha
+        xs = np.linspace(0.0, 0.9, 8)
+        alphas = np.linspace(0.0, 1.0, 10)[1:-1].tolist()
+        assert any((a * xs[:, None] + (1.0 - a) * xs[None, :] > 0.9).any() for a in alphas)
+        with pytest.warns(UserWarning):
+            flat = make_model("constant", {"value": 0.7}, 0.9)
+        rising = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.9)
+        for model in (flat, rising):
+            spy, calls = curve_spy(model)
+            assert nonconvexity_witness(spy, 0.5, 1.0, grid_points=8) == nonconvexity_witness(
+                model, 0.5, 1.0, grid_points=8)
+            assert inside_domain(calls, model)
+
+    def test_one_curve_call_per_run_and_per_oracle_slot(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(AccuracyModel, "eval", lambda self, x: checked.append(x))
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            ps = random_profileset(rng, max_m=4, max_n=3)
+            spy, calls = curve_spy(random_model(rng, 1.0))
+            trace = random_feasible_trace(rng, ps, int(rng.integers(1, 7)))
+            for policy in POLICIES:
+                calls.clear()
+                run_policy(policy, trace, ps, spy)
+                assert len(calls) == 1
+            calls.clear()
+            offline_optimal(trace, ps, spy)
+            assert len(calls) == trace.horizon + 1
+        assert not checked
 
 
 class TestBudgetBoundary:
