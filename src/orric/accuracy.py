@@ -36,12 +36,24 @@ _SHAPE_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
 
 
+def _number(value, name: str) -> float:
+    """float(value), or a ValueError naming the field when value is not a number (JSON's true and false are not)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _require_params(params: Mapping[str, float], *names: str) -> list[float]:
+    if not isinstance(params, Mapping):
+        raise ValueError(f"curve params must be an object with keys {list(names)}, got {params!r}")
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"unexpected curve parameters {sorted(extra)}; expected {list(names)}")
     try:
-        return [float(params[name]) for name in names]
+        return [_number(params[name], f"curve parameter {name!r}") for name in names]
     except KeyError as exc:
         raise ValueError(f"missing curve parameter {exc.args[0]!r}; expected {list(names)}") from exc
 
@@ -138,9 +150,6 @@ class AccuracyModel:
             return float(out)
         return out
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 def make_model(
     family: str,
@@ -155,7 +164,7 @@ def make_model(
     above it is rejected because the linear overestimate would dip under
     the curve.
     """
-    if family not in _BUILDERS:
+    if not isinstance(family, str) or family not in _BUILDERS:
         raise ValueError(f"unknown curve family {family!r}; known: {list(_BUILDERS)}")
     if domain_max < 0.0:
         raise ValueError("domain_max must be >= 0")
@@ -223,14 +232,16 @@ def model_to_dict(model: AccuracyModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> AccuracyModel:
+    if not isinstance(data, Mapping):
+        raise ValueError('model spec must be an object with "family", "params" and "domain_max"')
     try:
         family = data["family"]
         params = data["params"]
-        domain_max = float(data["domain_max"])
+        domain_max = _number(data["domain_max"], "domain_max")
     except KeyError as exc:
         raise ValueError(f"model spec missing key {exc.args[0]!r}") from exc
     L = data.get("L")
-    return make_model(family, params, domain_max, L_override=None if L is None else float(L))
+    return make_model(family, params, domain_max, L_override=None if L is None else _number(L, "L"))
 
 
 def load_model(path) -> AccuracyModel:

@@ -106,31 +106,27 @@ def weight_schedule(
     gain (a harmonic tail that vanishes at the last slot), w prices
     inference by the curve ceiling, except in slot 1 where it uses the
     overestimate intercept so the two prices stay comparable. lam is the
-    per-slot regularizer value, kept for diagnostics only.
+    per-slot regularizer value, kept for diagnostics only. Each tail is
+    the correctly rounded sum of its 1/tau terms, the value math.fsum
+    returns. d_min, d_max and a_min_infer must be finite.
     """
+    for name, value in (("d_min", d_min), ("d_max", d_max), ("a_min_infer", a_min_infer)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not 0.0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
     if a_min_infer <= 0.0:
         raise ValueError("a_min_infer must be positive")
-    # tails[t - 1] equals math.fsum(1 / tau for tau in range(t, horizon)) bit for bit:
-    # the exact tail is carried back from the last slot as Shewchuk partials
-    # (non-overlapping floats summing to it exactly), and fsum rounds it once
+    # For 1 <= t < horizon, the double 1/t is at least 2^-bit_length(horizon) and has
+    # a 53-bit significand, so it is a whole number of units 2^-scale. Each tail is
+    # then an exact integer in those units, and int / int true division rounds it
+    # once, correctly: tails[t - 1] == math.fsum(1 / tau for tau in range(t, horizon))
+    scale = 52 + int(horizon).bit_length()
     tails = [0.0] * horizon
-    partials: list[float] = []
+    units = 0
     for t in range(horizon - 1, 0, -1):
-        x = 1.0 / t
-        k = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[k] = lo
-                k += 1
-            x = hi
-        partials[k:] = [x]
-        tails[t - 1] = math.fsum(partials)
+        units += int(math.ldexp(1.0 / t, scale))
+        tails[t - 1] = units / (1 << scale)
     base = model.L * (d_min * a_min_infer / d_max)
     w = np.full(horizon, model.f_at_max)
     w[:1] = model.g_at_max

@@ -57,6 +57,11 @@ NOISE_CORRUPTIONS = frozenset({"gaussian noise", "impulse noise", "shot noise", 
 SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
 
 
+def _is_number(value, kind) -> bool:
+    """isinstance(value, kind) for kind Integral or Real, refusing bools (JSON's true and false)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """Declarative trace description.
@@ -77,9 +82,9 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, Integral) or self.horizon < 1:
+        if not _is_number(self.horizon, Integral) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not isinstance(self.seed, Integral) or not 0 <= self.seed <= SEED_MAX:
+        if not _is_number(self.seed, Integral) or not 0 <= self.seed <= SEED_MAX:
             raise ValueError(f"seed must be an integer in 0..{SEED_MAX}, got {self.seed!r}")
         if self.d_law not in D_LAWS:
             raise ValueError(f"unknown d_law {self.d_law!r}; known: {list(D_LAWS)}")
@@ -152,15 +157,15 @@ class ReplaySpec:
 
     def __post_init__(self) -> None:
         try:
-            ratios = tuple(float(r) for r in self.sampling_ratios)
-        except (TypeError, ValueError):
+            ratios = tuple(self.sampling_ratios)
+        except TypeError:
             ratios = None
-        if ratios is None or not all(map(math.isfinite, ratios)):
+        if ratios is None or not all(_is_number(r, Real) and math.isfinite(r) for r in ratios):
             raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}")
-        object.__setattr__(self, "sampling_ratios", ratios)
+        object.__setattr__(self, "sampling_ratios", tuple(map(float, ratios)))
         for name in ("train_cost_multiplier", "L", "data_per_slot", "f_at_max"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, Real) and math.isfinite(value)):
+            if value is not None and not (_is_number(value, Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.sampling_ratios or max(self.sampling_ratios) <= 0.0:
             raise ValueError("sampling_ratios needs at least one positive entry")
@@ -168,11 +173,11 @@ class ReplaySpec:
             raise ValueError("sampling_ratios must be >= 0")
         if self.train_cost_multiplier <= 0.0:
             raise ValueError("train_cost_multiplier must be positive")
-        if not isinstance(self.epochs_per_slot, Integral) or self.epochs_per_slot < 1:
+        if not _is_number(self.epochs_per_slot, Integral) or self.epochs_per_slot < 1:
             raise ValueError(f"epochs_per_slot must be an integer >= 1, got {self.epochs_per_slot!r}")
         if self.L < 0.0:
             raise ValueError("L must be >= 0")
-        if not isinstance(self.horizon, Integral) or self.horizon < 1:
+        if not _is_number(self.horizon, Integral) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.data_per_slot <= 0.0:
             raise ValueError("data_per_slot must be positive")

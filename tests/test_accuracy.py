@@ -161,7 +161,6 @@ class TestEval:
         out = m.eval(np.array([0.0, 0.5, 1.0]))
         assert out.shape == (3,)
         assert isinstance(m.eval(0.5), float)
-        assert m(0.5) == m.eval(0.5)
 
     def test_domain_enforcement(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)

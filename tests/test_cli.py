@@ -579,13 +579,19 @@ class TestReplayCommand:
     @pytest.mark.parametrize("field, value, message", [
         ("sampling_ratios", 0.5, "sampling_ratios must be a list of finite numbers, got 0.5"),
         ("sampling_ratios", [0.0, float("nan")], "sampling_ratios must be a list of finite numbers"),
+        ("sampling_ratios", [0.0, True], "sampling_ratios must be a list of finite numbers, got [0.0, True]"),
+        ("sampling_ratios", [0.0, "0.5"], "sampling_ratios must be a list of finite numbers, got [0.0, '0.5']"),
         ("horizon", 2.5, "horizon must be an integer >= 1, got 2.5"),
         ("horizon", "2", "horizon must be an integer >= 1, got '2'"),
+        ("horizon", True, "horizon must be an integer >= 1, got True"),
         ("epochs_per_slot", 1.5, "epochs_per_slot must be an integer >= 1, got 1.5"),
+        ("epochs_per_slot", True, "epochs_per_slot must be an integer >= 1, got True"),
         ("seed", -1, f"seed must be an integer in 0..{2**128 - 1}, got -1"),
         ("seed", 2**128, f"seed must be an integer in 0..{2**128 - 1}, got {2**128}"),
+        ("seed", True, f"seed must be an integer in 0..{2**128 - 1}, got True"),
         ("train_cost_multiplier", float("nan"), "train_cost_multiplier must be a finite number, got nan"),
         ("L", float("inf"), "L must be a finite number, got inf"),
+        ("L", False, "L must be a finite number, got False"),
         ("data_per_slot", float("-inf"), "data_per_slot must be a finite number, got -inf"),
         ("f_at_max", float("nan"), "f_at_max must be a finite number, got nan"),
         ("f_at_max", "high", "f_at_max must be a finite number, got 'high'"),
@@ -651,6 +657,27 @@ class TestWitness:
         report = json.loads(captured.out)
         assert report == {"positive": None, "negative": None}
         assert "no witness" in captured.err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [doc], 'model spec must be an object with "family", "params" and "domain_max"'),
+        (lambda doc: {**doc, "params": ["intercept", "slope"]}, "curve params must be an object"),
+        (lambda doc: {**doc, "family": ["linear"]}, "unknown curve family ['linear']"),
+        (lambda doc: {**doc, "domain_max": None}, "domain_max must be a number, got None"),
+        (lambda doc: {**doc, "params": {"intercept": None, "slope": 0.3}},
+         "curve parameter 'intercept' must be a number, got None"),
+        (lambda doc: {**doc, "L": [1]}, "L must be a number, got [1]"),
+        (lambda doc: {**doc, "domain_max": True}, "domain_max must be a number, got True"),
+    ], ids=["list", "params-list", "family-list", "domain-max-null", "param-null", "L-list", "domain-max-true"])
+    def test_malformed_curve_json(self, tmp_path, capsys, change, message):
+        doc = {"family": "linear", "params": {"intercept": 0.5, "slope": 0.3}, "domain_max": 1.0, "L": 0.3}
+        model = tmp_path / "model.json"
+        argv = ["witness", "--model", str(model), "--y-lo", "0.5", "--y-hi", "1", "--grid", "2"]
+        model.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        capsys.readouterr()
+        model.write_text(json.dumps(change(doc)))
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestExitCodes:

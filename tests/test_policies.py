@@ -187,8 +187,11 @@ class TestComputeWeights:
     def test_schedule_matches_per_slot_fsum(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
         base = m.L * (2.0 * 0.6 / 4.0)
-        inv = [0.0] + [1.0 / tau for tau in range(1, 300)]
-        for horizon in range(1, 301):
+        # the tails' unit 2^-(52 + horizon.bit_length()) halves at each power of two,
+        # and a unit one bit coarser is exact only at 2^k and 2^k + 1: test both sides
+        horizons = [*range(1, 301), 1023, 1024, 1025, 1026, 2047, 2048, 2049, 4097]
+        inv = [0.0] + [1.0 / tau for tau in range(1, max(horizons))]
+        for horizon in horizons:
             v, w, lam = weight_schedule(horizon, m, 2.0, 4.0, 0.6)
             assert v.tolist() == [
                 base * math.fsum(inv[t:horizon]) for t in range(1, horizon + 1)
@@ -206,6 +209,10 @@ class TestComputeWeights:
             compute_weights(1, 4, m, 2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             compute_weights(1, 4, m, 1.0, 1.0, 0.0)
+        for bounds in [(1.0, 2.0, math.nan), (1.0, math.inf, 0.5), (1.0, 2.0, math.inf),
+                       (math.nan, 2.0, 0.5), (1.0, math.nan, 0.5), (-math.inf, 2.0, 0.5)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                weight_schedule(4, m, *bounds)
 
 
 class TestOrricStep:

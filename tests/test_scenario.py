@@ -59,6 +59,11 @@ class TestTraceSpec:
             TraceSpec(horizon=2, d_lo=0.0)
         with pytest.raises(ValueError):
             TraceSpec(horizon=2, d_law="uniform", d_lo=5.0, d_hi=2.0)
+        # bools are Integral, but a JSON true is no horizon or seed
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            TraceSpec(horizon=True)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TraceSpec(horizon=2, seed=False)
 
 
 class TestGenerateTrace:
