@@ -19,6 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .atomic import write_atomic
+from .errors import finite_number
 
 __all__ = [
     "FAMILIES",
@@ -36,16 +37,6 @@ _SHAPE_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
 
 
-def _number(value, name: str) -> float:
-    """float(value), or a ValueError naming the field when value is not a number (JSON's true and false are not)."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 def _require_params(params: Mapping[str, float], *names: str) -> list[float]:
     if not isinstance(params, Mapping):
         raise ValueError(f"curve params must be an object with keys {list(names)}, got {params!r}")
@@ -53,7 +44,7 @@ def _require_params(params: Mapping[str, float], *names: str) -> list[float]:
     if extra:
         raise ValueError(f"unexpected curve parameters {sorted(extra)}; expected {list(names)}")
     try:
-        return [_number(params[name], f"curve parameter {name!r}") for name in names]
+        return [finite_number(params[name], f"curve parameter {name!r}") for name in names]
     except KeyError as exc:
         raise ValueError(f"missing curve parameter {exc.args[0]!r}; expected {list(names)}") from exc
 
@@ -166,6 +157,7 @@ def make_model(
     """
     if not isinstance(family, str) or family not in _BUILDERS:
         raise ValueError(f"unknown curve family {family!r}; known: {list(_BUILDERS)}")
+    domain_max = finite_number(domain_max, "domain_max")
     if domain_max < 0.0:
         raise ValueError("domain_max must be >= 0")
     fn, dfn = _BUILDERS[family](params)
@@ -188,8 +180,8 @@ def make_model(
     if L_override is None:
         L = end_slope
     else:
-        L = float(L_override)
-        if not 0.0 <= L < np.inf:
+        L = finite_number(L_override, "L")
+        if L < 0.0:
             raise ValueError(f"L must be finite and >= 0, got {L}")
         if L == 0.0 and end_slope != 0.0:
             raise ValueError("L must be positive for a rising curve")
@@ -208,10 +200,10 @@ def make_model(
     return AccuracyModel(
         family=family,
         params=dict(params),
-        domain_max=float(domain_max),
+        domain_max=domain_max,
         f_at_max=f_at_max,
         L=L,
-        g_at_max=f_at_max - L * float(domain_max),
+        g_at_max=f_at_max - L * domain_max,
         _fn=fn,
     )
 
@@ -237,11 +229,10 @@ def model_from_dict(data: Mapping) -> AccuracyModel:
     try:
         family = data["family"]
         params = data["params"]
-        domain_max = _number(data["domain_max"], "domain_max")
+        domain_max = data["domain_max"]
     except KeyError as exc:
         raise ValueError(f"model spec missing key {exc.args[0]!r}") from exc
-    L = data.get("L")
-    return make_model(family, params, domain_max, L_override=None if L is None else _number(L, "L"))
+    return make_model(family, params, domain_max, L_override=data.get("L"))
 
 
 def load_model(path) -> AccuracyModel:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
+    _SIG,
     _schedule,
     nonconvexity_witness,
     offline_optimal,
@@ -28,12 +28,11 @@ from .engine import (
     write_run_csv,
     write_trace_csv,
 )
-from .errors import CapExceededError, InfeasibleError
+from .errors import CapExceededError, InfeasibleError, finite_number
 from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import C_LAWS, D_LAWS, SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
-_SIG = ".12g"
 _CAP_HELP = "largest retraining-sequence space m^T the oracle accepts; 0 disables"
 
 
@@ -54,12 +53,9 @@ class _Parser(argparse.ArgumentParser):
 def _finite(text: str) -> float:
     """argparse type for float flags: non-numbers, NaN and infinities are usage errors."""
     try:
-        value = float(text)
+        return finite_number(text, "flag", text=True)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -86,11 +82,11 @@ _grid_points = _int_in(2, 64)
 
 
 def _fmt(x: float) -> str:
-    return format(x, _SIG)
+    return _SIG % x
 
 
 def _sig(x: float) -> float:
-    return float(format(x, _SIG))
+    return float(_fmt(x))
 
 
 def _rounded(obj):
@@ -114,8 +110,8 @@ def _write_schedule_csv(path: Path, weights) -> None:
     """Write the (v, w, lam) weight_schedule arrays as t,v,w,lambda rows."""
     v, w, lam = weights
     rows = zip(range(1, len(v) + 1), v.tolist(), w.tolist(), lam.tolist())
-    lines = ["t,v,w,lambda"]
-    lines += ["%d,%.12g,%.12g,%.12g" % row for row in rows]
+    row_text = f"%d,{_SIG},{_SIG},{_SIG}"
+    lines = ["t,v,w,lambda"] + [row_text % row for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -123,9 +119,11 @@ def _parse_policies(text: str) -> list[str]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise ValueError("empty policy list")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in POLICIES:
             raise ValueError(f"unknown policy {name!r}; known: {list(POLICIES)}")
+        if name in names[:k]:
+            raise ValueError(f"policy {name!r} is listed more than once")
     return names
 
 

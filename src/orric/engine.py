@@ -30,7 +30,7 @@ import numpy as np
 
 from .accuracy import AccuracyModel
 from .atomic import write_atomic
-from .errors import CapExceededError, InfeasibleError
+from .errors import CapExceededError, InfeasibleError, finite_number
 from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
@@ -57,8 +57,10 @@ __all__ = [
     "write_run_csv",
 ]
 
-# u and capacity are spliced in as the trace's pre-formatted %.12g text
-_RUN_ROW = "%d,%d,%d,%s,%.12g,%.12g,%.12g,%s"
+# every emitted float has 12 significant digits; trace CSVs alone keep exact values
+_SIG = "%.12g"
+# u and capacity are spliced in as the trace's pre-formatted _SIG text
+_RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"
 # a curvature-witness gap counts beyond this share of the largest term, max|f| * y_hi
 _WITNESS_TOL = 1e-12
 
@@ -135,8 +137,8 @@ class Trace:
 
     @cached_property
     def _run_csv_columns(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The run CSV's u and capacity columns as %.12g text, formatted on the first write."""
-        return tuple(["%.12g" % x for x in self.arrays.u.tolist()]), tuple(["%.12g" % x for x in self.c])
+        """The run CSV's u and capacity columns as _SIG text, formatted on the first write."""
+        return tuple([_SIG % x for x in self.arrays.u.tolist()]), tuple([_SIG % x for x in self.c])
 
 
 @dataclass(frozen=True)
@@ -482,25 +484,26 @@ def nonconvexity_witness(
 def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None) -> Trace:
     """Read a trace from CSV (header t,d,c); bounds default to the observed range."""
     path = Path(path)
-    d: list[float] = []
-    c: list[float] = []
+    slots: list[list[float]] = []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["t", "d", "c"]:
             raise ValueError("trace CSV must have header t,d,c")
         for expected_t, row in enumerate(reader, 1):
+            line = f"trace CSV line {reader.line_num}"
             # csv fills a short row with None and files extra fields under the key None
             if None in row or None in row.values():
-                raise ValueError(f"trace CSV line {reader.line_num} needs t, d and c")
-            if int(row["t"]) != expected_t:
-                raise ValueError(f"trace CSV slots must run 1..T, got {row['t']}")
-            d.append(float(row["d"]))
-            c.append(float(row["c"]))
-    if not d:
+                raise ValueError(f"{line} needs t, d and c")
+            t, *slot = (finite_number(row[key], f"{line} {key}", text=True) for key in "tdc")
+            if t != expected_t:
+                raise ValueError(f"{line} t must be {expected_t} (slots run 1..T), got {row['t']!r}")
+            slots.append(slot)
+    if not slots:
         raise ValueError("trace CSV has no rows")
+    d, c = zip(*slots)
     return Trace(
-        d=tuple(d),
-        c=tuple(c),
+        d=d,
+        c=c,
         d_min=min(d) if d_min is None else d_min,
         d_max=max(d) if d_max is None else d_max,
     )

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule for a number read from outside the program."""
+
+import math
+from numbers import Real
 
 
 class InfeasibleError(Exception):
@@ -7,3 +10,18 @@ class InfeasibleError(Exception):
 
 class CapExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its configured size cap."""
+
+
+def finite_number(value, name: str, text: bool = False) -> float:
+    """value as a float when it is a finite number, else a ValueError that names the field.
+
+    A number is a real (an int, a float, a numpy scalar), never a bool, NaN or an infinity. A str is
+    one only in a text format, a CSV cell or a flag (text=True), as float() reads it; in JSON it is not.
+    """
+    try:
+        number = float(value) if text and isinstance(value, str) else value
+        if isinstance(number, Real) and not isinstance(number, bool) and math.isfinite(number):
+            return float(number)
+    except (ValueError, OverflowError):  # text that float() cannot read; an int past the float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")

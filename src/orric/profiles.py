@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import write_atomic
+from .errors import finite_number
 
 __all__ = [
     "RetrainConfig",
@@ -238,16 +239,12 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
             if reader.fieldnames != expected:
                 raise ValueError(f"profile CSV must have header {','.join(expected)}")
             for row in reader:
+                line = f"profile CSV line {reader.line_num}"
+                # csv fills a short row with None and files extra fields under the key None
+                if None in row or None in row.values():
+                    raise ValueError(f"{line} needs a kind and two numbers")
                 kind = row["kind"].strip()
-                malformed = f"profile CSV line {reader.line_num} needs a kind and two numbers"
-                # csv files extra fields under the key None
-                if None in row:
-                    raise ValueError(malformed)
-                try:
-                    payoff = float(row["gain_or_profit"])
-                    cost = float(row["cost"])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(malformed) from exc
+                payoff, cost = (finite_number(row[key], f"{line} {key}", text=True) for key in expected[1:])
                 if kind == "retrain":
                     retrain.append(RetrainConfig(payoff, cost))
                 elif kind == "infer":
@@ -269,12 +266,9 @@ def _json_menu(data: dict, menu: str, cls, payoff: str) -> list:
         raise ValueError(f'profile JSON "{menu}" must be a list')
     configs = []
     for k, entry in enumerate(entries, 1):
-        try:
-            configs.append(cls(float(entry[payoff]), float(entry["cost"])))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(
-                f'{menu} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}'
-            ) from exc
+        if not isinstance(entry, dict) or payoff not in entry or "cost" not in entry:
+            raise ValueError(f'{menu} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}')
+        configs.append(cls(*(finite_number(entry[key], f"{menu} entry {k} {key}") for key in (payoff, "cost"))))
     return configs
 
 

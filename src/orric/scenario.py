@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .accuracy import AccuracyModel, make_model
 from .engine import Trace, ensure_feasible
+from .errors import finite_number
 from .profiles import InferConfig, ProfileSet, RetrainConfig, normalize_profits, prune_dominated
 
 __all__ = [
@@ -57,9 +57,11 @@ NOISE_CORRUPTIONS = frozenset({"gaussian noise", "impulse noise", "shot noise", 
 SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
 
 
-def _is_number(value, kind) -> bool:
-    """isinstance(value, kind) for kind Integral or Real, refusing bools (JSON's true and false)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _check_integer(value, name: str, lo: int, hi: int | None = None) -> None:
+    """Refuse value unless it is an integer in lo..hi (no upper bound when hi is None); a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,8 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_number(self.horizon, Integral) or self.horizon < 1:
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not _is_number(self.seed, Integral) or not 0 <= self.seed <= SEED_MAX:
-            raise ValueError(f"seed must be an integer in 0..{SEED_MAX}, got {self.seed!r}")
+        _check_integer(self.horizon, "horizon", 1)
+        _check_integer(self.seed, "seed", 0, SEED_MAX)
         if self.d_law not in D_LAWS:
             raise ValueError(f"unknown d_law {self.d_law!r}; known: {list(D_LAWS)}")
         if self.c_law not in C_LAWS:
@@ -157,28 +157,24 @@ class ReplaySpec:
 
     def __post_init__(self) -> None:
         try:
-            ratios = tuple(self.sampling_ratios)
-        except TypeError:
-            ratios = None
-        if ratios is None or not all(_is_number(r, Real) and math.isfinite(r) for r in ratios):
-            raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}")
-        object.__setattr__(self, "sampling_ratios", tuple(map(float, ratios)))
-        for name in ("train_cost_multiplier", "L", "data_per_slot", "f_at_max"):
-            value = getattr(self, name)
-            if value is not None and not (_is_number(value, Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            ratios = tuple(finite_number(r, "sampling_ratios entry") for r in self.sampling_ratios)
+        except (TypeError, ValueError):
+            raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}") from None
+        object.__setattr__(self, "sampling_ratios", ratios)
+        for name in ("train_cost_multiplier", "L", "data_per_slot"):
+            finite_number(getattr(self, name), name)
+        if self.f_at_max is not None:  # None picks the corruption's default
+            finite_number(self.f_at_max, "f_at_max")
         if not self.sampling_ratios or max(self.sampling_ratios) <= 0.0:
             raise ValueError("sampling_ratios needs at least one positive entry")
         if min(self.sampling_ratios) < 0.0:
             raise ValueError("sampling_ratios must be >= 0")
         if self.train_cost_multiplier <= 0.0:
             raise ValueError("train_cost_multiplier must be positive")
-        if not _is_number(self.epochs_per_slot, Integral) or self.epochs_per_slot < 1:
-            raise ValueError(f"epochs_per_slot must be an integer >= 1, got {self.epochs_per_slot!r}")
+        _check_integer(self.epochs_per_slot, "epochs_per_slot", 1)
         if self.L < 0.0:
             raise ValueError("L must be >= 0")
-        if not _is_number(self.horizon, Integral) or self.horizon < 1:
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        _check_integer(self.horizon, "horizon", 1)
         if self.data_per_slot <= 0.0:
             raise ValueError("data_per_slot must be positive")
 

@@ -101,6 +101,14 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="nondecreasing"):
             make_model("test-falling", {}, 1.0)
 
+    @pytest.mark.parametrize("domain_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_domain_max_rejected(self, domain_max):
+        # refused before the curve is evaluated on its grid, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^domain_max must be a finite number, got {domain_max}$"):
+                make_model("exponential-saturation", {"limit": 0.8, "scale": 0.3, "rate": 2.0}, domain_max)
+
     def test_builder_parameter_guards(self):
         with pytest.raises(ValueError):
             make_model("shifted-power", {"limit": 0.9, "scale": -1.0, "shift": 1.0, "power": 1.0}, 1.0)

@@ -265,6 +265,18 @@ class TestRun:
         assert set(summary["policies"]) == {"orric", "inference-only"}
         assert not (out / "focus-shift.csv").exists()
 
+    def test_repeated_policy_refused(self, tmp_path, worked_files, capsys):
+        argv = ["run",
+                "--profiles", str(worked_files / "profiles.json"),
+                "--model", str(worked_files / "model.json"),
+                "--trace", str(worked_files / "trace.csv")]
+        assert main([*argv, "--policies", "orric,focus-shift", "--out", str(tmp_path / "once")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "twice"
+        assert main([*argv, "--policies", "orric,orric,focus-shift", "--out", str(out)]) == 1
+        assert "error: policy 'orric' is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_cap_skips(self, tmp_path, worked_files, capsys):
         out = tmp_path / "run"
         rc = main(["run",
@@ -371,16 +383,16 @@ class TestRun:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--d", "--d-hi", "--c", "--c-hi", "--d-min", "--d-max",
-                                  "--kappa", "--f-at-max", "--y-lo", "--y-hi"])
-def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
-    # each command is valid as given; the flag added last overrides any earlier value
+FLOAT_FLAGS = ["--d", "--d-hi", "--c", "--c-hi", "--d-min", "--d-max", "--kappa", "--f-at-max", "--y-lo", "--y-hi"]
+
+
+def float_flag_command(flag, tmp_path, worked_files) -> list[str]:
+    """A valid command that takes flag; the flag added last overrides any earlier value."""
     profiles, model = str(worked_files / "profiles.json"), str(worked_files / "model.json")
     gen_trace = ["gen-trace", "--T", "3", "--d-law", "uniform", "--d", "1", "--d-hi", "2",
                  "--law", "uniform", "--c", "20", "--c-hi", "30", "--out", str(tmp_path / "t.csv")]
     bounds = ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "2", "--T", "4"]
-    command = {
+    return {
         "--d": gen_trace, "--d-hi": gen_trace, "--c": gen_trace, "--c-hi": gen_trace,
         "--d-min": bounds, "--d-max": bounds,
         "--kappa": ["replay", "fog", "--T", "2", "--out", str(tmp_path / "r")],
@@ -388,10 +400,108 @@ def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
         "--y-lo": ["witness", "--model", model, "--y-lo", "0.5", "--y-hi", "1"],
         "--y-hi": ["witness", "--model", model, "--y-lo", "0.5", "--y-hi", "1"],
     }[flag]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", FLOAT_FLAGS)
+def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
+    command = float_flag_command(flag, tmp_path, worked_files)
     assert main(command) == 0
     capsys.readouterr()
     assert main([*command, flag, value]) == 1
     assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
+
+
+# valid documents and text files for each reader of numbers from outside the program
+NUMBER_DOCS = {
+    "menu-json": {"retrain": [{"gain": 0.5, "cost": 3.0}],
+                  "infer": [{"profit": 0.6, "cost": 2.0}, {"profit": 1.0, "cost": 5.0}]},
+    "curve-json": {"family": "linear", "params": {"intercept": 0.5, "slope": 0.3}, "domain_max": 1.0, "L": 0.3},
+    "spec-json": {"corruption": "fog", "horizon": 2, "train_cost_multiplier": 3.0, "L": 0.01,
+                  "data_per_slot": 1000.0, "f_at_max": 0.8},
+}
+NUMBER_TEXT = {
+    "menu-csv": [["kind", "gain_or_profit", "cost"], ["retrain", "0.5", "3.0"], ["infer", "1.0", "1.0"]],
+    "trace-csv": [["t", "d", "c"], ["1", "1", "12"], ["2", "1", "5"]],
+}
+# (reader, where the value goes, the field the error names)
+NUMBERS_IN_JSON = [
+    ("menu-json", ("retrain", 0, "gain"), "retrain entry 1 gain"),
+    ("menu-json", ("infer", 1, "profit"), "infer entry 2 profit"),
+    ("menu-json", ("infer", 0, "cost"), "infer entry 1 cost"),
+    ("curve-json", ("domain_max",), "domain_max"),
+    ("curve-json", ("L",), "L"),
+    ("curve-json", ("params", "slope"), "curve parameter 'slope'"),
+    *(("spec-json", (name,), name) for name in ("train_cost_multiplier", "L", "data_per_slot", "f_at_max")),
+]
+NUMBERS_IN_TEXT = [
+    ("menu-csv", (1, 1), "profile CSV line 2 gain_or_profit"),
+    ("menu-csv", (2, 2), "profile CSV line 3 cost"),
+    ("trace-csv", (2, 0), "trace CSV line 3 t"),
+    ("trace-csv", (2, 1), "trace CSV line 3 d"),
+    ("trace-csv", (1, 2), "trace CSV line 2 c"),
+]
+# JSON text -> the value json reads; the last is an integer past the float range
+NOT_JSON_NUMBERS = {"true": True, "false": False, '"0.5"': "0.5", "null": None,
+                    "NaN": float("nan"), "Infinity": float("inf"), "1e400-digits": 10**400}
+# a JSON null there means the field's default
+NULL_IS_DEFAULT = {("curve-json", ("L",)), ("spec-json", ("f_at_max",))}
+
+
+def outside_number_cases():
+    for reader, where, field in NUMBERS_IN_JSON:
+        for text, value in NOT_JSON_NUMBERS.items():
+            if value is not None or (reader, where) not in NULL_IS_DEFAULT:
+                yield pytest.param(reader, where, value, f"{field} must be a finite number, got {value!r}",
+                                   id=f"{reader}-{'.'.join(map(str, where))}-{text}")
+    for value in ("abc", "nan", "1e400"):
+        for reader, where, field in NUMBERS_IN_TEXT:
+            row, column = where
+            yield pytest.param(reader, where, value, f"{field} must be a finite number, got {value!r}",
+                               id=f"{reader}-line{row + 1}-{NUMBER_TEXT[reader][0][column]}-{value}")
+        for flag in FLOAT_FLAGS:
+            yield pytest.param("flag", flag, value, f"argument {flag}: {value!r} is not a finite number",
+                               id=f"flag{flag}-{value}")
+
+
+@pytest.mark.parametrize("reader, where, value, message", outside_number_cases())
+def test_outside_number_refused(tmp_path, worked_files, capsys, reader, where, value, message):
+    # a number from a file or a flag is a finite int or float: no bool, NaN, infinity, or string inside JSON
+    path = tmp_path / reader.replace("-", ".")
+    prune = ["prune", "--profiles", str(path), "--out", str(tmp_path / "pruned.json")]
+    command = float_flag_command(where, tmp_path, worked_files) if reader == "flag" else {
+        "menu-json": prune,
+        "menu-csv": prune,
+        "curve-json": ["witness", "--model", str(path), "--y-lo", "0.5", "--y-hi", "1", "--grid", "2"],
+        "spec-json": ["replay", "--spec", str(path), "--out", str(tmp_path / "replay")],
+        "trace-csv": ["run", "--profiles", str(worked_files / "profiles.json"),
+                      "--model", str(worked_files / "model.json"), "--trace", str(path),
+                      "--out", str(tmp_path / "run")],
+    }[reader]
+    refused = [*command, where, value] if reader == "flag" else command
+
+    def write(with_value: bool):
+        if reader in NUMBER_DOCS:
+            doc = json.loads(json.dumps(NUMBER_DOCS[reader]))
+            if with_value:
+                *keys, last = where
+                target = doc
+                for key in keys:
+                    target = target[key]
+                target[last] = value
+            path.write_text(json.dumps(doc))
+        elif reader in NUMBER_TEXT:
+            rows = [list(row) for row in NUMBER_TEXT[reader]]
+            if with_value:
+                rows[where[0]][where[1]] = value
+            path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+    write(with_value=False)
+    assert main(command) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    write(with_value=True)
+    assert main(refused) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -662,11 +772,11 @@ class TestWitness:
         (lambda doc: [doc], 'model spec must be an object with "family", "params" and "domain_max"'),
         (lambda doc: {**doc, "params": ["intercept", "slope"]}, "curve params must be an object"),
         (lambda doc: {**doc, "family": ["linear"]}, "unknown curve family ['linear']"),
-        (lambda doc: {**doc, "domain_max": None}, "domain_max must be a number, got None"),
+        (lambda doc: {**doc, "domain_max": None}, "domain_max must be a finite number, got None"),
         (lambda doc: {**doc, "params": {"intercept": None, "slope": 0.3}},
-         "curve parameter 'intercept' must be a number, got None"),
-        (lambda doc: {**doc, "L": [1]}, "L must be a number, got [1]"),
-        (lambda doc: {**doc, "domain_max": True}, "domain_max must be a number, got True"),
+         "curve parameter 'intercept' must be a finite number, got None"),
+        (lambda doc: {**doc, "L": [1]}, "L must be a finite number, got [1]"),
+        (lambda doc: {**doc, "domain_max": True}, "domain_max must be a finite number, got True"),
     ], ids=["list", "params-list", "family-list", "domain-max-null", "param-null", "L-list", "domain-max-true"])
     def test_malformed_curve_json(self, tmp_path, capsys, change, message):
         doc = {"family": "linear", "params": {"intercept": 0.5, "slope": 0.3}, "domain_max": 1.0, "L": 0.3}
