@@ -22,8 +22,8 @@ trace = Trace(d=(1.0, 1.0), c=(12.0, 5.0), d_min=1.0, d_max=1.0)
 
 print("schedule weights (v pays future accuracy per unit gain, w pays current profit):")
 for t in range(1, trace.horizon + 1):
-    weights = compute_weights(t, trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-    print(f"  t={t}: v={weights.v:.4f}  w={weights.w:.4f}  lambda={weights.lam:.4f}")
+    v, w, lam = compute_weights(t, trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
+    print(f"  t={t}: v={v:.4f}  w={w:.4f}  lambda={lam:.4f}")
 print()
 
 for policy in POLICIES:

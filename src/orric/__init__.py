@@ -45,7 +45,6 @@ from .policies import (
     ORRIC,
     POLICIES,
     Decision,
-    ScheduleWeights,
     compute_weights,
     heuristic_step,
     orric_step,

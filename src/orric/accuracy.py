@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import finite_number
+from .errors import finite_number, read_json
 
 __all__ = [
     "FAMILIES",
@@ -236,7 +235,7 @@ def model_from_dict(data: Mapping) -> AccuracyModel:
 
 
 def load_model(path) -> AccuracyModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(read_json(path, "model spec"))
 
 
 def save_model(path, model: AccuracyModel) -> None:

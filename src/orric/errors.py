@@ -1,7 +1,9 @@
-"""Shared exception types, and the one rule for a number read from outside the program."""
+"""Shared exception types, and the rules for a JSON file and a number read from outside the program."""
 
+import json
 import math
 from numbers import Real
+from pathlib import Path
 
 
 class InfeasibleError(Exception):
@@ -25,3 +27,11 @@ def finite_number(value, name: str, text: bool = False) -> float:
     except (ValueError, OverflowError):  # text that float() cannot read; an int past the float range
         pass
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def read_json(path, kind: str):
+    """The JSON value in the file at path; text that is not JSON is a ValueError naming the file's kind."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad {kind}: {exc}") from exc

@@ -17,7 +17,6 @@ rule, so they answer with the code a run uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "FOCUS_SHIFT",
     "HEURISTICS",
     "POLICIES",
-    "ScheduleWeights",
     "Decision",
     "weight_schedule",
     "compute_weights",
@@ -51,35 +49,6 @@ KNOWLEDGE_DISTILLATION = "knowledge-distillation"
 FOCUS_SHIFT = "focus-shift"
 HEURISTICS = (INFERENCE_ONLY, INFERENCE_GREEDY, KNOWLEDGE_DISTILLATION, FOCUS_SHIFT)
 POLICIES = (ORRIC,) + HEURISTICS
-
-
-@dataclass(frozen=True)
-class ScheduleWeights:
-    """One slot's weights: v prices retraining gain, w prices inference profit.
-
-    lam is the per-slot regularizer value, kept for diagnostics only; it
-    never enters a decision. u is the slot's per-sample budget, which only
-    orric_step reads. Every field must be finite.
-    """
-
-    v: float
-    w: float
-    lam: float
-    u: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("v", "w", "lam", "u"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.v < 0.0:
-            raise ValueError("v must be >= 0")
-        if self.w <= 0.0:
-            raise ValueError("w must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.u is not None and self.u <= 0.0:
-            raise ValueError("per-sample budget u must be positive")
 
 
 class Decision(NamedTuple):
@@ -140,12 +109,11 @@ def compute_weights(
     d_min: float,
     d_max: float,
     a_min_infer: float,
-) -> ScheduleWeights:
-    """Weight schedule entry for slot t of the given horizon (see weight_schedule)."""
+) -> tuple[float, float, float]:
+    """Slot t's (v, w, lam) of the weight schedule for the given horizon (see weight_schedule)."""
     if not 1 <= t <= horizon:
         raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    v, w, lam = weight_schedule(horizon, model, d_min, d_max, a_min_infer)
-    return ScheduleWeights(v=float(v[t - 1]), w=float(w[t - 1]), lam=float(lam[t - 1]))
+    return tuple(float(a[t - 1]) for a in weight_schedule(horizon, model, d_min, d_max, a_min_infer))
 
 
 def fit_table(volumes, capacities, profiles: ProfileSet) -> np.ndarray:
@@ -220,29 +188,33 @@ def table_decisions(
 
 def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> Decision:
     """The table rule's decision for slot t of unit volume with per-sample budget u."""
+    if not 1 <= t <= horizon:
+        raise ValueError(f"slot t = {t} outside 1..{horizon}")
+    if not math.isfinite(u):
+        raise ValueError(f"per-sample budget u must be finite, got {u!r}")
     jbest = fit_table([1.0], [u], profiles)
     (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles, schedule).tolist()
     return Decision(*row)
 
 
-def orric_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
+def orric_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
     """Pick the pair fitting the per-sample budget u that maximizes v * gain + w * profit.
 
     A one-slot fit table read by the orric rule of table_decisions: ties
-    keep the lowest retraining index.
+    keep the lowest retraining index. v must be finite and >= 0, w finite and positive.
     """
-    if weights.u is None:
-        raise ValueError("per-sample budget u is not set on the weights")
-    schedule = (np.array([weights.v]), np.array([weights.w]), np.array([weights.lam]))
-    return _one_slot(ORRIC, 1, 1, weights.u, profiles, schedule)
+    for name, value in (("v", v), ("w", w)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if v < 0.0:
+        raise ValueError("v must be >= 0")
+    if w <= 0.0:
+        raise ValueError("w must be positive")
+    return _one_slot(ORRIC, 1, 1, u, profiles, (np.array([v]), np.array([w]), None))
 
 
 def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> Decision:
     """One slot of a named fixed strategy: slot t of unit volumes with per-sample budget u."""
     if policy not in HEURISTICS:
         raise ValueError(f"unknown heuristic {policy!r}; known: {list(HEURISTICS)}")
-    if not 1 <= t <= horizon:
-        raise ValueError(f"slot t = {t} outside 1..{horizon}")
-    if not math.isfinite(u):
-        raise ValueError(f"per-sample budget u must be finite, got {u!r}")
     return _one_slot(policy, t, horizon, u, profiles)

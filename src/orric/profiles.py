@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import finite_number
+from .errors import finite_number, read_json
 
 __all__ = [
     "RetrainConfig",
@@ -252,7 +252,7 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
                 else:
                     raise ValueError(f"unknown profile kind {kind!r}")
     else:
-        data = json.loads(path.read_text())
+        data = read_json(path, "profile JSON")
         if not isinstance(data, dict):
             raise ValueError('profile JSON must be an object with "retrain" and "infer" lists')
         retrain = _json_menu(data, "retrain", RetrainConfig, "gain")

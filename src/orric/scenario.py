@@ -11,18 +11,16 @@ and a capacity law spanning the per-slot compute of the deployed
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 
 from .accuracy import AccuracyModel, make_model
 from .engine import Trace, ensure_feasible
-from .errors import finite_number
+from .errors import finite_number, read_json
 from .profiles import InferConfig, ProfileSet, RetrainConfig, normalize_profits, prune_dominated
 
 __all__ = [
@@ -272,7 +270,9 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
 
 def load_replay_spec(path) -> ReplaySpec:
     """Read a ReplaySpec from JSON mirroring its fields."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path, "replay spec")
+    if not isinstance(data, dict):
+        raise ValueError("replay spec must be a JSON object of ReplaySpec fields")
     try:
         return ReplaySpec(**data)
     except TypeError as exc:

@@ -464,12 +464,10 @@ def outside_number_cases():
                                id=f"flag{flag}-{value}")
 
 
-@pytest.mark.parametrize("reader, where, value, message", outside_number_cases())
-def test_outside_number_refused(tmp_path, worked_files, capsys, reader, where, value, message):
-    # a number from a file or a flag is a finite int or float: no bool, NaN, infinity, or string inside JSON
-    path = tmp_path / reader.replace("-", ".")
+def reader_command(reader, path, tmp_path, worked_files) -> list[str]:
+    """A command that reads the file at path with the named reader."""
     prune = ["prune", "--profiles", str(path), "--out", str(tmp_path / "pruned.json")]
-    command = float_flag_command(where, tmp_path, worked_files) if reader == "flag" else {
+    return {
         "menu-json": prune,
         "menu-csv": prune,
         "curve-json": ["witness", "--model", str(path), "--y-lo", "0.5", "--y-hi", "1", "--grid", "2"],
@@ -478,6 +476,14 @@ def test_outside_number_refused(tmp_path, worked_files, capsys, reader, where, v
                       "--model", str(worked_files / "model.json"), "--trace", str(path),
                       "--out", str(tmp_path / "run")],
     }[reader]
+
+
+@pytest.mark.parametrize("reader, where, value, message", outside_number_cases())
+def test_outside_number_refused(tmp_path, worked_files, capsys, reader, where, value, message):
+    # a number from a file or a flag is a finite int or float: no bool, NaN, infinity, or string inside JSON
+    path = tmp_path / reader.replace("-", ".")
+    command = (float_flag_command(where, tmp_path, worked_files) if reader == "flag"
+               else reader_command(reader, path, tmp_path, worked_files))
     refused = [*command, where, value] if reader == "flag" else command
 
     def write(with_value: bool):
@@ -502,6 +508,27 @@ def test_outside_number_refused(tmp_path, worked_files, capsys, reader, where, v
     write(with_value=True)
     assert main(refused) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader, kind", [
+    ("menu-json", "profile JSON"), ("curve-json", "model spec"), ("spec-json", "replay spec"),
+])
+@pytest.mark.parametrize("damage", ["truncated", "empty", "list"])
+def test_malformed_json_file_names_its_kind(tmp_path, worked_files, capsys, reader, kind, damage):
+    # a file that is not JSON, or not a JSON object, exits 1 with an error that says which input it was
+    path = tmp_path / reader.replace("-", ".")
+    command = reader_command(reader, path, tmp_path, worked_files)
+    text = json.dumps(NUMBER_DOCS[reader])
+    path.write_text(text)
+    assert main(command) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    path.write_text({"truncated": text[:13], "empty": "", "list": f"[{text}]"}[damage])
+    assert main(command) == 1
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    if damage == "list":
+        assert line.startswith(f"error: {kind} must be ") and "object" in line
+    else:
+        assert line.startswith(f"error: bad {kind}: ") and "line 1 column" in line  # json's own position text
 
 
 @pytest.mark.parametrize("command, flag, value, message", [

@@ -20,7 +20,6 @@ from orric import (
     Decision,
     InfeasibleError,
     ProfileSet,
-    ScheduleWeights,
     Trace,
     compute_weights,
     heuristic_step,
@@ -32,7 +31,7 @@ from orric.policies import weight_schedule
 from conftest import random_model, random_profileset
 
 
-def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision:
+def brute_force_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
     """All-pairs maximizer with the documented scan-order tie rule.
 
     It checks the fit-table rule at d = 1, which scores each i ascending
@@ -45,8 +44,8 @@ def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision
     for i, rcfg in enumerate(profiles.retrain):
         for j in range(profiles.n - 1, -1, -1):
             icfg = profiles.infer[j]
-            if rcfg.cost + icfg.cost <= weights.u:
-                value = weights.v * rcfg.gain + weights.w * icfg.profit
+            if rcfg.cost + icfg.cost <= u:
+                value = v * rcfg.gain + w * icfg.profit
                 if value > best_value:
                     best, best_value = Decision(i + 1, j + 1), value
                 break
@@ -55,12 +54,12 @@ def brute_force_step(weights: ScheduleWeights, profiles: ProfileSet) -> Decision
     return best
 
 
-def enumerated_decision(policy, d, c, t, horizon, weights, profiles) -> Decision:
+def enumerated_decision(policy, d, c, t, horizon, prices, profiles) -> Decision:
     """One slot of a policy by exhaustive pair enumeration under the scorer's test.
 
     A pair (i, j) fits when d * (c_i + c_j) <= c, the expression
     evaluate_objective enforces; each policy's rule is then read off the
-    list of fitting pairs directly.
+    list of fitting pairs directly. prices is orric's (v, w) for the slot.
     """
     rc = [e.cost for e in profiles.retrain]
     ic = [e.cost for e in profiles.infer]
@@ -71,9 +70,10 @@ def enumerated_decision(policy, d, c, t, horizon, weights, profiles) -> Decision
         return max((b for a, b in pairs if a == i), default=-1)
 
     if policy == ORRIC:
+        v, w = prices
         best, best_value = None, 0.0
         for i, j in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
-            value = weights.v * profiles.retrain[i].gain + weights.w * profiles.infer[j].profit
+            value = v * profiles.retrain[i].gain + w * profiles.infer[j].profit
             if value > best_value:
                 best, best_value = (i, j), value
         i, j = best
@@ -110,8 +110,8 @@ class TestFitTable:
                     i, j = int(rng.integers(ps.m)), int(rng.integers(ps.n))
                     c.append(float(d_t * (ps.retrain[i].cost + ps.infer[j].cost)))
             trace = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
-            v, w, lam = weight_schedule(horizon, model, 1.0, 10.0, ps.min_profit)
-            schedule = [ScheduleWeights(*row) for row in zip(v.tolist(), w.tolist(), lam.tolist())]
+            v, w, _ = weight_schedule(horizon, model, 1.0, 10.0, ps.min_profit)
+            schedule = list(zip(v.tolist(), w.tolist()))
             for policy in POLICIES:
                 expected = tuple(
                     enumerated_decision(policy, trace.d[t], trace.c[t], t + 1, horizon, schedule[t], ps)
@@ -120,67 +120,66 @@ class TestFitTable:
                 assert run_policy(policy, trace, ps, model).decisions == expected, policy
 
 
-class TestScheduleWeights:
-    def test_validation(self):
+class TestStepInputs:
+    def test_validation(self, worked_profiles):
         with pytest.raises(ValueError):
-            ScheduleWeights(v=-0.1, w=1.0, lam=0.0)
+            orric_step(-0.1, 1.0, 12.0, worked_profiles)
         with pytest.raises(ValueError):
-            ScheduleWeights(v=0.0, w=0.0, lam=0.0)
-        with pytest.raises(ValueError):
-            ScheduleWeights(v=0.0, w=1.0, lam=-1.0)
-        with pytest.raises(ValueError):
-            ScheduleWeights(v=0.0, w=1.0, lam=0.0, u=0.0)
+            orric_step(0.0, 0.0, 12.0, worked_profiles)
+        # a budget under the cheapest inference cost is the fit table's answer, as for heuristic_step
+        with pytest.raises(InfeasibleError):
+            orric_step(0.0, 1.0, 0.0, worked_profiles)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["v", "w", "lam", "u"])
+    @pytest.mark.parametrize("field", ["v", "w", "u"])
     def test_non_finite_rejected(self, worked_profiles, field, value):
         # NaN passes every sign check, and a NaN or infinite price poisons a slot's scores
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            ScheduleWeights(**{"v": 0.5, "w": 1.0, "lam": 0.0, "u": 12.0, field: value})
+        inputs = {"v": 0.5, "w": 1.0, "u": 12.0, field: value}
+        message = "^per-sample budget u must be finite" if field == "u" else f"^{field} must be finite"
+        with pytest.raises(ValueError, match=message):
+            orric_step(**inputs, profiles=worked_profiles)
         if field == "u":
             with pytest.raises(ValueError, match="budget u must be finite"):
                 heuristic_step(INFERENCE_ONLY, 1, 2, value, worked_profiles)
-
-    def test_u_defaults_to_none(self):
-        assert ScheduleWeights(v=0.0, w=1.0, lam=0.0).u is None
 
 
 class TestComputeWeights:
     def test_worked_first_slot_price(self):
         m = make_model("linear", {"intercept": 0.7857, "slope": 0.01}, 1.0)
-        w = compute_weights(1, 2, m, 1000.0, 1000.0, 0.5647)
+        v, _, lam = weight_schedule(2, m, 1000.0, 1000.0, 0.5647)
         # L * (d_min * a_min / d_max) * (1/1)
-        assert w.v == pytest.approx(0.005647, abs=1e-15)
-        assert w.lam == pytest.approx(0.005647, abs=1e-15)
+        assert v[0] == pytest.approx(0.005647, abs=1e-15)
+        assert lam[0] == pytest.approx(0.005647, abs=1e-15)
 
     def test_inference_price_switches_after_first_slot(self):
         m = make_model("linear", {"intercept": 0.7857, "slope": 0.01}, 1.0)
-        assert compute_weights(1, 5, m, 1000.0, 1000.0, 0.6).w == pytest.approx(0.7857, abs=1e-12)
+        w = weight_schedule(5, m, 1000.0, 1000.0, 0.6)[1]
+        assert w[0] == pytest.approx(0.7857, abs=1e-12)
         for t in range(2, 6):
-            assert compute_weights(t, 5, m, 1000.0, 1000.0, 0.6).w == pytest.approx(0.7957, abs=1e-12)
+            assert w[t - 1] == pytest.approx(0.7957, abs=1e-12)
 
     def test_harmonic_tail(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
         base = 0.3 * (2.0 * 0.6 / 4.0)
+        v, _, lam = weight_schedule(6, m, 2.0, 4.0, 0.6)
         for t in range(1, 7):
-            w = compute_weights(t, 6, m, 2.0, 4.0, 0.6)
             tail = math.fsum(1.0 / tau for tau in range(t, 6))
-            assert w.v == pytest.approx(base * tail, abs=1e-15)
-            assert w.lam == pytest.approx(base / t, abs=1e-15)
+            assert v[t - 1] == pytest.approx(base * tail, abs=1e-15)
+            assert lam[t - 1] == pytest.approx(base / t, abs=1e-15)
 
     def test_last_slot_retraining_price_vanishes(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
-        assert compute_weights(4, 4, m, 1.0, 1.0, 0.5).v == 0.0
+        assert weight_schedule(4, m, 1.0, 1.0, 0.5)[0][3] == 0.0
 
     def test_single_slot_horizon(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
-        w = compute_weights(1, 1, m, 1.0, 1.0, 0.5)
-        assert w.v == 0.0
-        assert w.w == m.g_at_max
+        v, w, _ = weight_schedule(1, m, 1.0, 1.0, 0.5)
+        assert v[0] == 0.0
+        assert w[0] == m.g_at_max
 
     def test_price_nonincreasing_over_time(self):
         m = make_model("exponential-saturation", {"limit": 0.8, "scale": 0.3, "rate": 2.0}, 1.0)
-        vs = [compute_weights(t, 12, m, 1.0, 3.0, 0.4).v for t in range(1, 13)]
+        vs = weight_schedule(12, m, 1.0, 3.0, 0.4)[0].tolist()
         assert all(a >= b for a, b in zip(vs, vs[1:]))
         assert vs[-1] == 0.0
 
@@ -199,6 +198,12 @@ class TestComputeWeights:
             assert lam.tolist() == [base / t for t in range(1, horizon + 1)]
             assert w.tolist() == [m.g_at_max] + [m.f_at_max] * (horizon - 1)
 
+    def test_compute_weights_reads_the_schedule(self):
+        m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
+        v, w, lam = weight_schedule(6, m, 2.0, 4.0, 0.6)
+        for t in range(1, 7):
+            assert compute_weights(t, 6, m, 2.0, 4.0, 0.6) == (v[t - 1], w[t - 1], lam[t - 1])
+
     def test_argument_validation(self):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
         with pytest.raises(ValueError):
@@ -206,9 +211,9 @@ class TestComputeWeights:
         with pytest.raises(ValueError):
             compute_weights(5, 4, m, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            compute_weights(1, 4, m, 2.0, 1.0, 0.5)
+            weight_schedule(4, m, 2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            compute_weights(1, 4, m, 1.0, 1.0, 0.0)
+            weight_schedule(4, m, 1.0, 1.0, 0.0)
         for bounds in [(1.0, 2.0, math.nan), (1.0, math.inf, 0.5), (1.0, 2.0, math.inf),
                        (math.nan, 2.0, 0.5), (1.0, math.nan, 0.5), (-math.inf, 2.0, 0.5)]:
             with pytest.raises(ValueError, match="must be finite"):
@@ -217,47 +222,41 @@ class TestComputeWeights:
 
 class TestOrricStep:
     def test_worked_explicit_weights(self, worked_profiles):
-        w = ScheduleWeights(v=0.5, w=1.0, lam=0.0, u=12.0)
-        assert orric_step(w, worked_profiles) == Decision(2, 1)
+        assert orric_step(0.5, 1.0, 12.0, worked_profiles) == Decision(2, 1)
 
     def test_worked_schedule_weights_prefer_inference(self, worked_profiles, worked_model):
         # the first-slot schedule prices gain low enough that the
         # inference-heavy pair wins: 0.5 * 1.0 > 0.18 * 1 + 0.5 * 0.6
-        from dataclasses import replace
-
-        w = replace(compute_weights(1, 2, worked_model, 1.0, 1.0, 0.6), u=12.0)
-        assert w.v == pytest.approx(0.18, abs=1e-15)
-        assert w.w == pytest.approx(0.5, abs=1e-15)
-        assert orric_step(w, worked_profiles) == Decision(1, 2)
+        v, w, _ = compute_weights(1, 2, worked_model, 1.0, 1.0, 0.6)
+        assert v == pytest.approx(0.18, abs=1e-15)
+        assert w == pytest.approx(0.5, abs=1e-15)
+        assert orric_step(v, w, 12.0, worked_profiles) == Decision(1, 2)
 
     def test_budget_must_be_set(self, worked_profiles):
+        # u is a required argument; one that is not a number is no budget
         with pytest.raises(ValueError):
-            orric_step(ScheduleWeights(v=0.5, w=1.0, lam=0.0), worked_profiles)
+            orric_step(0.5, 1.0, math.nan, worked_profiles)
 
     def test_infeasible_budget(self, worked_profiles):
         with pytest.raises(InfeasibleError):
-            orric_step(ScheduleWeights(v=0.5, w=1.0, lam=0.0, u=1.0), worked_profiles)
+            orric_step(0.5, 1.0, 1.0, worked_profiles)
 
     def test_tie_keeps_scan_order_first(self):
         # both pairs score exactly 1.0; (1, 2) is visited before (2, 1)
         ps = ProfileSet(retrain=[(0.0, 0.0), (1.0, 4.0)], infer=[(0.5, 1.0), (1.0, 4.0)])
-        w = ScheduleWeights(v=0.5, w=1.0, lam=0.0, u=5.0)
+        v, w, u = 0.5, 1.0, 5.0
         assert 0.5 * 1.0 + 1.0 * 0.0 != 1.0  # guard against rewriting the setup
-        assert w.v * 1.0 + w.w * 0.5 == w.v * 0.0 + w.w * 1.0 == 1.0
-        assert orric_step(w, ps) == Decision(1, 2)
+        assert v * 1.0 + w * 0.5 == v * 0.0 + w * 1.0 == 1.0
+        assert orric_step(v, w, u, ps) == Decision(1, 2)
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
             ps = random_profileset(rng, max_m=6, max_n=6)
             u = float(rng.uniform(ps.min_infer_cost, 1.3 * ps.top_pair_cost))
-            w = ScheduleWeights(
-                v=float(rng.uniform(0.0, 1.0)),
-                w=float(rng.uniform(0.1, 1.0)),
-                lam=0.0,
-                u=u,
-            )
-            assert orric_step(w, ps) == brute_force_step(w, ps)
+            v = float(rng.uniform(0.0, 1.0))
+            w = float(rng.uniform(0.1, 1.0))
+            assert orric_step(v, w, u, ps) == brute_force_step(v, w, u, ps)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -270,8 +269,7 @@ class TestOrricStep:
         rng = np.random.default_rng(seed)
         ps = random_profileset(rng, max_m=5, max_n=5)
         u = ps.min_infer_cost + slack * (ps.top_pair_cost - ps.min_infer_cost)
-        w = ScheduleWeights(v=v, w=wt, lam=0.0, u=u)
-        assert orric_step(w, ps) == brute_force_step(w, ps)
+        assert orric_step(v, wt, u, ps) == brute_force_step(v, wt, u, ps)
 
 
 class TestHeuristics:

@@ -1,9 +1,11 @@
-"""Names the benchmark tracer wraps must exist in the package and keep covering the work they time."""
+"""Names the benchmark tracer wraps must exist in the package and keep covering the work they time;
+the mutation catalogue's snippets and tests must exist too."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import shlex
 from pathlib import Path
@@ -12,11 +14,12 @@ import orric
 import orric.cli as cli
 import orric.engine as engine
 import orric.policies as policies
-from orric.policies import INFERENCE_GREEDY, POLICIES, ScheduleWeights
+from orric.policies import INFERENCE_GREEDY, POLICIES
 from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "benchmarks" / "tracer.py"
+MUTANTS = ROOT / "tools" / "mutants.py"
 
 
 def traced_names() -> dict[str, list[tuple[str, str]]]:
@@ -105,7 +108,7 @@ def test_per_slot_names_read_the_table(monkeypatch, worked_profiles, worked_mode
         for fn in (policies.fit_table, policies.table_decisions, policies.weight_schedule)
     }
     steps = {
-        "orric_step": lambda: policies.orric_step(ScheduleWeights(v=0.5, w=1.0, lam=0.0, u=12.0), worked_profiles),
+        "orric_step": lambda: policies.orric_step(0.5, 1.0, 12.0, worked_profiles),
         "heuristic_step": lambda: policies.heuristic_step(INFERENCE_GREEDY, 1, 2, 12.0, worked_profiles),
     }
     for name, step in steps.items():
@@ -128,3 +131,21 @@ def test_public_names_resolve():
     assert exported
     for name in exported:
         assert hasattr(orric, name), f"orric.{name} does not resolve"
+
+
+def test_mutant_catalogue_points_at_the_code():
+    # a refactor that moves a catalogued snippet or renames its tests must update the catalogue
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in (ROOT / "src").rglob("*.py")}
+    assert mutants.CATALOGUE
+    for name, mutant in mutants.CATALOGUE.items():
+        hits = {path: text.count(mutant.snippet) for path, text in sources.items() if mutant.snippet in text}
+        assert hits == {mutant.path: 1}, name
+        assert mutant.tests, name
+        for test in mutant.tests:
+            path, *nodes = test.split("::")
+            text = (ROOT / path).read_text()
+            for node in nodes:
+                assert f"def {node}(" in text or f"class {node}:" in text, f"{name}: {test}"

@@ -1,0 +1,109 @@
+"""Rerun the mutation catalogue: every test named for a mutant must fail under it.
+
+    python tools/mutants.py            # every catalogued mutant
+    python tools/mutants.py NAME ...   # only the named ones
+
+Each mutant replaces one source snippet, which occurs exactly once under
+src/, with a broken variant. The script copies src/, tests/ and
+pyproject.toml into a temporary directory and first checks that the
+named tests pass there unmutated. It then applies one mutant at a time to
+the copy and runs each of its tests on its own, with PYTHONPATH pointing
+at the copy. It prints one line per mutant and test, and exits 1 when a
+test passes under its mutant (a survivor) or a run cannot tell. The
+working tree is never written.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    path: str  # the file holding the snippet, relative to the repository root
+    snippet: str  # source text that occurs exactly once under src/
+    replacement: str  # the broken variant
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail under the mutant
+
+
+CATALOGUE = {
+    # orric's ties must go to the lowest retraining index
+    "table-last-maximum": Mutant(
+        "src/orric/policies.py",
+        "i = np.argmax(value, axis=1)",
+        "i = value.shape[1] - 1 - np.argmax(value[:, ::-1], axis=1)",
+        (
+            "tests/test_acceptance.py::test_criterion_01_step_rule_equals_enumeration",
+            "tests/test_policies.py::TestFitTable::test_decisions_match_pair_enumeration",
+            "tests/test_policies.py::TestOrricStep::test_tie_keeps_scan_order_first",
+        ),
+    ),
+    # a NaN price passes both sign checks and poisons every score of the slot
+    "orric-step-finite-prices": Mutant(
+        "src/orric/policies.py",
+        'for name, value in (("v", v), ("w", w)):',
+        "for name, value in ():",
+        ("tests/test_policies.py::TestStepInputs::test_non_finite_rejected",),
+    ),
+    # a NaN budget reads as infeasible, an infinite one fits every pair
+    "one-slot-finite-budget": Mutant(
+        "src/orric/policies.py",
+        "if not math.isfinite(u):",
+        "if False:",
+        ("tests/test_policies.py::TestStepInputs::test_non_finite_rejected",),
+    ),
+}
+
+
+def pytest_run(root: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True).returncode
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in CATALOGUE]
+    if unknown:
+        print(f"unknown mutant(s) {unknown}; known: {list(CATALOGUE)}", file=sys.stderr)
+        return 2
+    chosen = {name: CATALOGUE[name] for name in argv or CATALOGUE}
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        for item in COPIED:
+            source = ROOT / item
+            if source.is_dir():
+                shutil.copytree(source, root / item, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, root / item)
+        tests = sorted({test for mutant in chosen.values() for test in mutant.tests})
+        if pytest_run(root, tests) != 0:
+            print("the named tests do not pass on the unmutated copy", file=sys.stderr)
+            return 2
+        for name, mutant in chosen.items():
+            target = root / mutant.path
+            original = target.read_text()
+            if original.count(mutant.snippet) != 1:
+                print(f"{name}: snippet does not occur exactly once in {mutant.path}", file=sys.stderr)
+                return 2
+            target.write_text(original.replace(mutant.snippet, mutant.replacement))
+            for test in mutant.tests:
+                code = pytest_run(root, [test])
+                # pytest exits 1 when a test failed; 0 is a survivor, anything else a broken run
+                status = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+                failed += code != 1
+                print(f"{name}: {status}  {test}")
+            target.write_text(original)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
