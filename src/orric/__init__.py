@@ -60,7 +60,6 @@ from .profiles import (
     save_profiles,
 )
 from .scenario import (
-    NOISE_CORRUPTIONS,
     SAMPLING_RATIOS,
     ReplaySpec,
     TraceSpec,

@@ -114,8 +114,9 @@ class AccuracyModel:
     carrying L = 0.
 
     eval is the checked entry for x from outside the package. Callers
-    inside the package that clip their own x to [0, domain_max] call the
-    family function _fn on it directly, which eval would return unchanged.
+    inside the package, whose x lies in [0, domain_max] but for roundoff,
+    call eval_clipped, which clips x and calls the family function _fn
+    unchecked; eval checks x and then does the same.
     """
 
     family: str
@@ -130,15 +131,19 @@ class AccuracyModel:
         """Evaluate the curve at x (scalar or array), rejecting out-of-domain input.
 
         x may stray outside [0, domain_max] by roundoff, which is clipped;
-        callers that clip x themselves call _fn instead (see the class).
+        eval_clipped skips the check (see the class).
         """
         arr = np.asarray(x, dtype=float)
         if (arr < -_DOMAIN_TOL).any() or (arr > self.domain_max + _DOMAIN_TOL).any():
             raise ValueError(f"curve argument outside [0, {self.domain_max}]")
-        out = self._fn(np.minimum(np.maximum(arr, 0.0), self.domain_max))
+        out = self.eval_clipped(arr)
         if np.ndim(x) == 0:
             return float(out)
         return out
+
+    def eval_clipped(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the curve at x clipped to [0, domain_max], unchecked: the clip is the only guard."""
+        return self._fn(np.minimum(np.maximum(x, 0.0), self.domain_max))
 
 
 def make_model(

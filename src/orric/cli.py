@@ -19,6 +19,7 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
+    _ORACLE_CAP,
     _SIG,
     _schedule,
     nonconvexity_witness,
@@ -90,8 +91,6 @@ def _sig(x: float) -> float:
 
 
 def _rounded(obj):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return _sig(obj)
     if isinstance(obj, dict):
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=_finite, default=None,
                    help="declared volume upper bound (default: the trace's largest volume)")
     p.add_argument("--policies", default=",".join(POLICIES), help="comma-separated policy names")
-    p.add_argument("--oracle-cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--oracle-cap", type=_non_negative, default=_ORACLE_CAP, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_run)
 
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--cap", type=_non_negative, default=10_000_000,
+    p.add_argument("--cap", type=_non_negative, default=_ORACLE_CAP,
                    help="largest retraining-sequence space m^T the oracle accepts; a larger one exits 1")
     p.add_argument("--out", default=None, help="optional per-slot CSV")
     p.set_defaults(func=cmd_oracle)
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=_finite, default=None)
     p.add_argument("--f-at-max", type=_finite, default=None)
     p.add_argument("--policies", default=",".join(POLICIES))
-    p.add_argument("--oracle-cap", type=_non_negative, default=10_000_000, help=_CAP_HELP)
+    p.add_argument("--oracle-cap", type=_non_negative, default=_ORACLE_CAP, help=_CAP_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_replay)
 

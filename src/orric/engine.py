@@ -63,6 +63,8 @@ _SIG = "%.12g"
 _RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"
 # a curvature-witness gap counts beyond this share of the largest term, max|f| * y_hi
 _WITNESS_TOL = 1e-12
+# the default largest retraining-sequence space m^T the oracle accepts
+_ORACLE_CAP = 10_000_000
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -261,11 +263,11 @@ def evaluate_objective(
         k = int(over.argmax())
         raise InfeasibleError(f"slot {k + 1}: decision uses {float(used[k])} of capacity {trace.c[k]}")
     z = _kahan_cumsum((d * menus.gain[i]).tolist())
-    # slot 1 has no history. x is inside [0, max_gain] but for roundoff, and
-    # this clip is the only guard against it: the curve is called unchecked
+    # slot 1 has no history. x is inside [0, max_gain] but for roundoff,
+    # which eval_clipped's clip guards against
     x = np.zeros(horizon)
-    x[1:] = np.minimum(np.maximum(np.divide(z[:-1], view.d_sum[:-1]), 0.0), model.domain_max)
-    perfs = (model._fn(x) * menus.profit[j] * d).tolist()
+    x[1:] = np.divide(z[:-1], view.d_sum[:-1])
+    perfs = (model.eval_clipped(x) * menus.profit[j] * d).tolist()
     return RunResult(
         indices=index,
         per_slot_perf=tuple(perfs),
@@ -312,7 +314,7 @@ def offline_optimal(
     trace: Trace,
     profiles: ProfileSet,
     model: AccuracyModel,
-    cap: int = 10_000_000,
+    cap: int = _ORACLE_CAP,
 ) -> RunResult:
     """Exact offline optimum by dynamic programming over Pareto-frontier states.
 
@@ -359,8 +361,7 @@ def offline_optimal(
     expanded = 0
     for t in range(horizon):
         x = z / d_cum[t - 1] if t else z
-        # the clip is a roundoff guard, and the only one: the curve is called unchecked
-        fx = model._fn(np.minimum(np.maximum(x, 0.0), model.domain_max))
+        fx = model.eval_clipped(x)
         # candidate k * m + i extends state k by retraining choice i, so
         # candidates are in prefix order when the states are
         zc = (z[:, None] + dz[t]).ravel()
@@ -460,7 +461,7 @@ def nonconvexity_witness(
     for alpha in alphas:
         a = float(alpha)
         xbar = a * xs[:, None] + (1.0 - a) * xs[None, :]
-        fbar = model._fn(np.clip(xbar, 0.0, model.domain_max))
+        fbar = model.eval_clipped(xbar)
         ybar = a * ys[:, None] + (1.0 - a) * ys[None, :]
         fx2 = ((1.0 - a) * fx)[:, None, None]
         for i1 in range(grid_points):

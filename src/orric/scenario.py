@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "load_compute_table",
     "corruption_labels",
     "load_replay_spec",
-    "NOISE_CORRUPTIONS",
     "SAMPLING_RATIOS",
 ]
 
@@ -42,15 +42,13 @@ SEED_MAX = 2**128 - 1
 
 STUDENT_MODEL = "MobileNetV2"
 TEACHER_MODEL = "ResNet50"
-FULL_RESOLUTION = 32
+CLEAN_LABEL = "original"
 MACS_PER_MILLION = 1e6
-
-# accuracy ceiling reachable after full retraining, as a fraction; the noise
-# corruptions lose their full-resolution inference row to pruning, which
-# lowers the ceiling to the next resolution's clean accuracy
-F_AT_MAX_DEFAULT = 0.7957
-F_AT_MAX_NOISE = 0.7329
-NOISE_CORRUPTIONS = frozenset({"gaussian noise", "impulse noise", "shot noise", "speckle noise"})
+# the shipped table's columns, each with the type its cells are read as
+TABLE_COLUMNS = {
+    "model": str, "resolution": int, "macs_m": float,
+    "latency_us": float, "corruption": str, "accuracy": float,
+}
 
 SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
 
@@ -139,8 +137,10 @@ class ReplaySpec:
     Retraining cost per sample is ratio * (teacher labeling pass plus
     train_cost_multiplier student passes per epoch) at full resolution;
     gains are those costs normalized so the top entry buys gain 1.
-    f_at_max defaults per corruption (see NOISE_CORRUPTIONS); L is the
-    end-slope price of retraining.
+    f_at_max, the accuracy that full retraining reaches, defaults to the
+    student's clean accuracy at the costliest inference entry the
+    corruption's menu keeps (see build_replay); L is the end-slope price
+    of retraining.
     """
 
     corruption: str
@@ -178,33 +178,23 @@ class ReplaySpec:
 
 
 @lru_cache(maxsize=1)
-def load_compute_table() -> tuple[dict, ...]:
-    """Rows of the shipped compute/accuracy table."""
-    rows = []
+def load_compute_table() -> tuple[MappingProxyType, ...]:
+    """Rows of the shipped compute/accuracy table, read-only since every caller shares the cached rows."""
     with resources.files("orric").joinpath("data/cifar10c_profiles.csv").open() as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "model": row["model"],
-                    "resolution": int(row["resolution"]),
-                    "macs_m": float(row["macs_m"]),
-                    "latency_us": float(row["latency_us"]),
-                    "corruption": row["corruption"],
-                    "accuracy": float(row["accuracy"]),
-                }
-            )
-    return tuple(rows)
+        return tuple(
+            MappingProxyType({key: read(row[key]) for key, read in TABLE_COLUMNS.items()})
+            for row in csv.DictReader(fh)
+        )
 
 
 def corruption_labels() -> tuple[str, ...]:
     return tuple(sorted({row["corruption"] for row in load_compute_table()}))
 
 
-def _model_macs(model: str, resolution: int) -> float:
-    for row in load_compute_table():
-        if row["model"] == model and row["resolution"] == resolution:
-            return row["macs_m"] * MACS_PER_MILLION
-    raise ValueError(f"no table row for {model} at resolution {resolution}")
+def _student_rows(corruption: str) -> list[MappingProxyType]:
+    """The student's table rows for one label, cheapest first."""
+    rows = [row for row in load_compute_table() if row["model"] == STUDENT_MODEL and row["corruption"] == corruption]
+    return sorted(rows, key=lambda row: row["macs_m"])
 
 
 def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec]:
@@ -213,16 +203,12 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
     Inference menus are the student rows for the corruption with
     accuracies normalized to the best one; dominated resolutions drop
     out. Capacity per slot is uniform between the student's and the
-    teacher's full-resolution compute for one slot of data.
+    teacher's full-resolution compute, each model's compute at its
+    largest resolution, for one slot of data. Unless the spec sets
+    f_at_max, the ceiling is the student's clean (original) accuracy at
+    the resolution of the costliest inference entry the pruning keeps.
     """
-    rows = sorted(
-        (
-            row
-            for row in load_compute_table()
-            if row["model"] == STUDENT_MODEL and row["corruption"] == spec.corruption
-        ),
-        key=lambda row: row["macs_m"],
-    )
+    rows = _student_rows(spec.corruption)
     if not rows:
         raise ValueError(
             f"unknown corruption {spec.corruption!r}; known: {list(corruption_labels())}"
@@ -233,8 +219,12 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
         for p, row in zip(profits, rows)
     ]
 
-    student_full = _model_macs(STUDENT_MODEL, FULL_RESOLUTION)
-    teacher_full = _model_macs(TEACHER_MODEL, FULL_RESOLUTION)
+    # in resolution order each model's last row, the one the dict keeps, is at its largest resolution
+    full_macs = {
+        row["model"]: row["macs_m"] * MACS_PER_MILLION
+        for row in sorted(load_compute_table(), key=lambda row: row["resolution"])
+    }
+    student_full, teacher_full = full_macs[STUDENT_MODEL], full_macs[TEACHER_MODEL]
     per_unit = teacher_full + spec.epochs_per_slot * spec.train_cost_multiplier * student_full
     costs = [ratio * per_unit for ratio in spec.sampling_ratios]
     beta = 1.0 / max(costs)
@@ -243,7 +233,11 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
     profile_set = prune_dominated(retrain, infer)
     f_at_max = spec.f_at_max
     if f_at_max is None:
-        f_at_max = F_AT_MAX_NOISE if spec.corruption in NOISE_CORRUPTIONS else F_AT_MAX_DEFAULT
+        top = rows[infer.index(profile_set.infer[-1])]
+        clean = next(row for row in _student_rows(CLEAN_LABEL) if row["resolution"] == top["resolution"])
+        # the table holds percentages: reading the digits at exponent -2 rounds
+        # once, where dividing by 100 can land an ulp away (73.29 / 100 != 0.7329)
+        f_at_max = float(f"{clean['accuracy']!r}e-2")
 
     domain_max = profile_set.max_gain
     if spec.L == 0.0:

@@ -198,6 +198,9 @@ class TestEval:
                     m = make_model(family, params[family], domain_max)
                 x = np.concatenate(([0.0, domain_max], rng.uniform(0.0, domain_max, 64), [domain_max, 0.0]))
                 assert (m._fn(x) == m.eval(x)).all(), (family, domain_max)
+                # eval_clipped, the callers' entry, gives the same values and clips what strays out
+                assert (m.eval_clipped(x) == m.eval(x)).all(), (family, domain_max)
+                assert (m.eval_clipped(np.array([-1.0, domain_max + 1.0])) == m._fn(np.array([0.0, domain_max]))).all()
 
 
 class TestSerialization:

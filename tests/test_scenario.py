@@ -46,6 +46,14 @@ class TestComputeTable:
         assert rows[("MobileNetV2", 20)] == 6.35
         assert rows[("ResNet50", 32)] == 86.37
 
+    def test_rows_are_read_only(self):
+        # every caller shares the cached rows, so a write would leak into every later replay
+        before = build_replay(ReplaySpec(corruption="fog"))
+        row = next(r for r in load_compute_table() if r["model"] == "MobileNetV2" and r["corruption"] == "fog")
+        with pytest.raises(TypeError):
+            row["accuracy"] = 1.0
+        assert build_replay(ReplaySpec(corruption="fog")) == before
+
 
 class TestTraceSpec:
     def test_validation(self):
@@ -141,6 +149,14 @@ class TestReplay:
         for label in NOISE:
             _, model, _ = build_replay(ReplaySpec(corruption=label))
             assert model.f_at_max == pytest.approx(0.7329, abs=1e-12)
+
+    def test_default_ceilings_and_capacity_are_exact(self):
+        # the clean accuracy at the costliest kept resolution, 28 under noise and 32 otherwise,
+        # read exactly from the table's percentages; the capacity spans both models at 32
+        for label in corruption_labels():
+            _, model, tspec = build_replay(ReplaySpec(corruption=label))
+            assert model.f_at_max == (0.7329 if label in NOISE else 0.7957), label
+            assert (tspec.c_lo, tspec.c_hi) == (7.94e9, 86.37e9), label
 
     def test_retraining_menu_tracks_sampling_ratios(self):
         profiles, _, _ = build_replay(ReplaySpec(corruption="fog"))

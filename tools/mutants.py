@@ -60,6 +60,61 @@ CATALOGUE = {
         "if False:",
         ("tests/test_policies.py::TestStepInputs::test_non_finite_rejected",),
     ),
+    # x strays past domain_max by roundoff, and the clip is the curve's only guard
+    "curve-unclipped": Mutant(
+        "src/orric/accuracy.py",
+        "return self._fn(np.minimum(np.maximum(x, 0.0), self.domain_max))",
+        "return self._fn(x)",
+        ("tests/test_engine.py::TestCurveCalls",),
+    ),
+    # a budget exactly on a pair's cost affords it
+    "fit-table-strict-budget": Mutant(
+        "src/orric/policies.py",
+        "(rc[:, None] + ic) <= c[:, None, None]",
+        "(rc[:, None] + ic) < c[:, None, None]",
+        (
+            "tests/test_policies.py::TestFitTable",
+            "tests/test_engine.py::TestBudgetBoundary",
+        ),
+    ),
+    # focus-shift must read its own slot's budget
+    "focus-shift-other-slot": Mutant(
+        "src/orric/policies.py",
+        "share = rho * (u - profiles.min_infer_cost)",
+        "share = rho * (np.roll(u, 1) - profiles.min_infer_cost)",
+        (
+            "tests/test_engine.py::TestRunPolicy::test_worked_totals",
+            "tests/test_policies.py::TestFitTable::test_decisions_match_pair_enumeration",
+        ),
+    ),
+    # a kept schedule built for another L must not be reused
+    "schedule-key-without-L": Mutant(
+        "src/orric/engine.py",
+        "key = (model.L, model.f_at_max, model.g_at_max, profiles.min_profit)",
+        "key = (model.f_at_max, model.g_at_max, profiles.min_profit)",
+        ("tests/test_engine.py::TestSharedPlan",),
+    ),
+    # the witness reports the first hit in the whole lattice's C scan order
+    "witness-rows-reversed": Mutant(
+        "src/orric/engine.py",
+        "for i1 in range(grid_points):",
+        "for i1 in reversed(range(grid_points)):",
+        ("tests/test_engine.py::TestWitness",),
+    ),
+    # one bit coarser, the tail units no longer hold 1/t exactly
+    "schedule-tail-unit-coarser": Mutant(
+        "src/orric/policies.py",
+        "scale = 52 + int(horizon).bit_length()",
+        "scale = 51 + int(horizon).bit_length()",
+        ("tests/test_policies.py::TestComputeWeights",),
+    ),
+    # 73.29 / 100 is an ulp away from the 0.7329 the table's digits spell
+    "ceiling-by-division": Mutant(
+        "src/orric/scenario.py",
+        "f_at_max = float(f\"{clean['accuracy']!r}e-2\")",
+        "f_at_max = clean[\"accuracy\"] / 100",
+        ("tests/test_scenario.py::TestReplay::test_default_ceilings_and_capacity_are_exact",),
+    ),
 }
 
 
