@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .accuracy import AccuracyModel
+from .accuracy import _DOMAIN_TOL, AccuracyModel
 from .atomic import write_atomic
 from .errors import CapExceededError, InfeasibleError, finite_number
 from .policies import (
@@ -222,7 +222,7 @@ def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
 
 
 def _check_domain(profiles: ProfileSet, model: AccuracyModel) -> None:
-    if profiles.max_gain > model.domain_max + 1e-12:
+    if profiles.max_gain > model.domain_max + _DOMAIN_TOL:
         raise ValueError(
             f"menu top gain {profiles.max_gain} exceeds the curve domain {model.domain_max}"
         )
@@ -336,7 +336,8 @@ def offline_optimal(
     meta["frontier_peak"] is the largest number of states kept after a
     slot, and meta["states_expanded"] the number of candidates scored,
     the sum over slots of the frontier size times m. The oracle reads
-    the fit table the trace keeps for these menus (see run_policy).
+    the fit table the trace keeps for these menus (see run_policy), and
+    it divides by the trace's Kahan volume sums, as the scorer does.
     """
     # the fit table first, so an infeasible trace is reported before the domain and cap checks
     jbest = _fit_table(trace, profiles)
@@ -352,7 +353,6 @@ def offline_optimal(
     slot_profit = np.where(fits, menus.profit[np.maximum(jbest, 0)], -np.inf)
     # an unaffordable pair gets z = -inf: it sorts last and is never kept
     dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
-    d_cum = np.cumsum(d)
 
     z = np.zeros(1)
     score = np.zeros(1)
@@ -360,7 +360,7 @@ def offline_optimal(
     peak = 1
     expanded = 0
     for t in range(horizon):
-        x = z / d_cum[t - 1] if t else z
+        x = z / trace.arrays.d_sum[t - 1] if t else z
         fx = model.eval_clipped(x)
         # candidate k * m + i extends state k by retraining choice i, so
         # candidates are in prefix order when the states are

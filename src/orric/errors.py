@@ -5,6 +5,8 @@ import math
 from numbers import Real
 from pathlib import Path
 
+__all__ = ["InfeasibleError", "CapExceededError"]
+
 
 class InfeasibleError(Exception):
     """No decision can satisfy the per-slot compute budget."""

@@ -34,11 +34,8 @@ __all__ = [
     "HEURISTICS",
     "POLICIES",
     "Decision",
-    "weight_schedule",
     "compute_weights",
     "orric_step",
-    "fit_table",
-    "table_decisions",
     "heuristic_step",
 ]
 

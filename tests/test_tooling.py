@@ -1,5 +1,6 @@
 """Names the benchmark tracer wraps must exist in the package and keep covering the work they time;
-the mutation catalogue's snippets and tests must exist too."""
+the package's public names are its modules' __all__ lists, each name once; the mutation catalogue's
+snippets and tests must exist too."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import importlib
 import importlib.util
 import pkgutil
 import shlex
+import types
 from pathlib import Path
 
 import orric
@@ -121,16 +123,36 @@ def test_per_slot_names_read_the_table(monkeypatch, worked_profiles, worked_mode
     assert len(calls["weight_schedule"]) == 1
 
 
+EXPORTING = ("accuracy", "analysis", "engine", "errors", "policies", "profiles", "scenario")
+
+
 def test_public_names_resolve():
     modules = [importlib.import_module(f"orric.{info.name}") for info in pkgutil.iter_modules(orric.__path__)]
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name} does not resolve"
-    tree = ast.parse(Path(orric.__file__).read_text())
-    exported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert exported
-    for name in exported:
+    assert orric.__all__
+    for name in orric.__all__:
         assert hasattr(orric, name), f"orric.{name} does not resolve"
+
+
+def test_package_exports_each_module_all_once():
+    # a name listed by two modules would shadow the other silently under the star imports
+    modules = [importlib.import_module(f"orric.{name}") for name in EXPORTING]
+    assert list(orric.__all__) == [name for module in modules for name in module.__all__]
+    assert len(set(orric.__all__)) == len(orric.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(orric, name) is obj, f"orric.{name} is not {module.__name__}.{name}"
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == module.__name__, f"{module.__name__} lists {obj.__module__}.{name}"
+    # the package itself names no public name: it star-imports the modules and joins their lists
+    tree = ast.parse(Path(orric.__file__).read_text())
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported <= {"*", *EXPORTING}
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & set(orric.__all__)
 
 
 def test_mutant_catalogue_points_at_the_code():

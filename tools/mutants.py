@@ -115,6 +115,41 @@ CATALOGUE = {
         "f_at_max = clean[\"accuracy\"] / 100",
         ("tests/test_scenario.py::TestReplay::test_default_ceilings_and_capacity_are_exact",),
     ),
+    # the last slot has no tail: starting at t = horizon adds 1/horizon to every tail
+    "schedule-tail-from-horizon": Mutant(
+        "src/orric/policies.py",
+        "for t in range(horizon - 1, 0, -1):",
+        "for t in range(horizon, 0, -1):",
+        ("tests/test_cli.py::TestRun::test_worked_instance_artifacts",),
+    ),
+    # a perf in exponent form must print as %.12g does, lower-case
+    "run-csv-perf-upper-case": Mutant(
+        "src/orric/engine.py",
+        '_RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"',
+        '_RUN_ROW = f"%d,%d,%d,%s,%.12G,{_SIG},{_SIG},%s"',
+        ("tests/test_engine.py::TestRunCSV::test_templates_match_f_string_reference",),
+    ),
+    # the scorer's gain sums go through the Kahan prefix sum, not numpy's plain one
+    "scorer-plain-cumsum": Mutant(
+        "src/orric/engine.py",
+        "z = _kahan_cumsum((d * menus.gain[i]).tolist())",
+        "z = np.cumsum(d * menus.gain[i]).tolist()",
+        ("tests/test_engine.py::TestEvaluateObjective::test_matches_per_slot_reference",),
+    ),
+    # a pair must fit the budget itself, not 5 % more
+    "fit-table-loose-budget": Mutant(
+        "src/orric/policies.py",
+        "(rc[:, None] + ic) <= c[:, None, None]",
+        "(rc[:, None] + ic) <= 1.05 * c[:, None, None]",
+        ("tests/test_acceptance.py::test_criterion_01_step_rule_equals_enumeration",),
+    ),
+    # a module that lists a name it imports exports it twice, and the star imports hide which wins
+    "scenario-lists-trace": Mutant(
+        "src/orric/scenario.py",
+        '    "SAMPLING_RATIOS",\n]',
+        '    "SAMPLING_RATIOS",\n    "Trace",\n]',
+        ("tests/test_tooling.py::test_package_exports_each_module_all_once",),
+    ),
 }
 
 
