@@ -29,9 +29,8 @@ for corruption in ("gaussian noise", "fog"):
         elapsed = (time.perf_counter() - start) * 1000.0
         if policy == "orric":
             print(f"  orric run took {elapsed:.1f}ms for {trace.horizon} slots")
-    # cap m^T admits every retraining sequence; the frontier DP keeps a few states a slot, not the sequences
     start = time.perf_counter()
-    oracle = offline_optimal(trace, profiles, model, cap=profiles.m ** trace.horizon)
+    oracle = offline_optimal(trace, profiles, model)
     elapsed = (time.perf_counter() - start) * 1000.0
     print(
         f"  exact offline optimum over {profiles.m}^{trace.horizon} retraining sequences: "

@@ -19,9 +19,9 @@ from .accuracy import load_model, save_model
 from .analysis import bounds_report
 from .atomic import write_atomic
 from .engine import (
-    _ORACLE_CAP,
     _SIG,
     _schedule,
+    ensure_feasible,
     nonconvexity_witness,
     offline_optimal,
     read_trace_csv,
@@ -29,11 +29,13 @@ from .engine import (
     write_run_csv,
     write_trace_csv,
 )
-from .errors import CapExceededError, InfeasibleError, finite_number
+from .errors import InfeasibleError, finite_number
 from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import C_LAWS, D_LAWS, SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
 
+# the default largest retraining-sequence space m^T for which a command runs the oracle
+_ORACLE_CAP = 10_000_000
 _CAP_HELP = "largest retraining-sequence space m^T the oracle accepts; 0 disables"
 
 
@@ -126,6 +128,12 @@ def _parse_policies(text: str) -> list[str]:
     return names
 
 
+def _over_cap(profiles, trace, cap: int) -> str | None:
+    """Why a command does not run the oracle: its m^T retraining sequences exceed cap; None when they do not."""
+    m, horizon = profiles.m, trace.horizon
+    return f"{m}^{horizon} retraining sequences exceed the cap {cap}" if m**horizon > cap else None
+
+
 def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: int, inputs: dict) -> None:
     """Run the policies and the oracle, write every artefact and print the totals."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,23 +149,21 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
         summary["policies"][name] = entry
         totals[name] = result.total
 
-    summary["oracle"] = {"skipped": "oracle disabled (cap 0)"}
-    if oracle_cap > 0:
-        try:
-            oracle = offline_optimal(trace, profiles, model, cap=oracle_cap)
-        except CapExceededError as exc:
-            summary["oracle"] = {"skipped": str(exc)}
-        else:
-            write_run_csv(out_dir / "oracle.csv", oracle, trace)
-            summary["oracle"] = {
-                "total": oracle.total,
-                "csv": "oracle.csv",
-                "enumerated_sequences": oracle.meta["enumerated_sequences"],
-            }
-            # ratios of the emitted (rounded) totals, so the report is self-consistent
-            summary["ratios_vs_oracle"] = {
-                name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
-            }
+    skipped = "oracle disabled (cap 0)" if oracle_cap == 0 else _over_cap(profiles, trace, oracle_cap)
+    if skipped:
+        summary["oracle"] = {"skipped": skipped}
+    else:
+        oracle = offline_optimal(trace, profiles, model)
+        write_run_csv(out_dir / "oracle.csv", oracle, trace)
+        summary["oracle"] = {
+            "total": oracle.total,
+            "csv": "oracle.csv",
+            "enumerated_sequences": oracle.meta["enumerated_sequences"],
+        }
+        # ratios of the emitted (rounded) totals, so the report is self-consistent
+        summary["ratios_vs_oracle"] = {
+            name: _sig(total) / _sig(oracle.total) for name, total in totals.items()
+        }
 
     _write_schedule_csv(out_dir / "schedule.csv", _schedule(trace, profiles, model))
     summary["schedule_csv"] = "schedule.csv"
@@ -217,7 +223,11 @@ def cmd_oracle(args) -> int:
     profiles = load_profiles(args.profiles)
     model = load_model(args.model)
     trace = read_trace_csv(args.trace)
-    result = offline_optimal(trace, profiles, model, cap=args.cap)
+    # an infeasible trace exits 2 before the cap is checked
+    ensure_feasible(trace, profiles)
+    if skipped := _over_cap(profiles, trace, args.cap):
+        raise ValueError(skipped)
+    result = offline_optimal(trace, profiles, model)
     if args.out:
         write_run_csv(args.out, result, trace)
     print(f"oracle: {_fmt(result.total)}")
@@ -370,7 +380,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (CapExceededError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,8 @@ the Pareto frontier of (volume-weighted gain so far, score so far), with
 greedy inference per slot once retraining is fixed, and it is the
 denominator for empirical performance ratios. What a run's policies, its
 oracle and its writers share is built once: a Trace caches its array
-view and its run-CSV columns, and keeps its fit table for the menus
-object last given and orric's weight schedule for the curve and menu
-values last given.
+view and its run-CSV columns, and keeps its fit table and orric's
+weight schedule with the menus and curve they were built from.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .accuracy import _DOMAIN_TOL, AccuracyModel
 from .atomic import write_atomic
-from .errors import CapExceededError, InfeasibleError, finite_number
+from .errors import InfeasibleError, finite_number
 from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
@@ -63,8 +62,6 @@ _SIG = "%.12g"
 _RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"
 # a curvature-witness gap counts beyond this share of the largest term, max|f| * y_hi
 _WITNESS_TOL = 1e-12
-# the default largest retraining-sequence space m^T the oracle accepts
-_ORACLE_CAP = 10_000_000
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -182,38 +179,34 @@ class RunResult:
         return tuple(Decision(i, j) for i, j in self.indices.tolist())
 
 
+def _kept(trace: Trace, name: str, inputs: tuple, build: Callable[[], tuple]) -> tuple:
+    """The arrays build() returns, read-only, kept in the trace's __dict__ under name.
+
+    The trace keeps them, as it keeps its cached properties, with the
+    inputs they were built from, and rebuilds them when the inputs
+    differ. The inputs are frozen menus and curves, whose equality covers
+    every value a builder reads; the same object compares equal without
+    a look at its values.
+    """
+    kept = trace.__dict__.get(name)
+    if kept is None or kept[0] != inputs:
+        arrays = build()
+        for array in arrays:
+            array.flags.writeable = False
+        kept = trace.__dict__[name] = (inputs, arrays)
+    return kept[1]
+
+
 def _fit_table(trace: Trace, profiles: ProfileSet) -> np.ndarray:
-    """The trace's read-only fit table for these menus, built once per menus object.
-
-    The trace keeps the menus and the table in its __dict__, as it keeps
-    its cached properties; another menus object replaces them.
-    """
-    kept = trace.__dict__.get("_fit_table")
-    if kept is None or kept[0] is not profiles:
-        view = trace.arrays
-        jbest = fit_table(view.d, view.c, profiles)
-        jbest.flags.writeable = False
-        kept = trace.__dict__["_fit_table"] = (profiles, jbest)
-    return kept[1]
+    """The trace's read-only fit table for these menus (see _kept)."""
+    return _kept(trace, "_fit_table", (profiles,),
+                 lambda: (fit_table(trace.arrays.d, trace.arrays.c, profiles),))[0]
 
 
-def _schedule(
-    trace: Trace, profiles: ProfileSet, model: AccuracyModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only weight_schedule arrays (v, w, lam) of the trace's horizon and volume bounds.
-
-    The trace keeps them with the curve and menu values they were built
-    from, every value weight_schedule reads besides the trace's own, and
-    rebuilds them when one of those values differs.
-    """
-    key = (model.L, model.f_at_max, model.g_at_max, profiles.min_profit)
-    kept = trace.__dict__.get("_schedule")
-    if kept is None or kept[0] != key:
-        weights = weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit)
-        for column in weights:
-            column.flags.writeable = False
-        kept = trace.__dict__["_schedule"] = (key, weights)
-    return kept[1]
+def _schedule(trace: Trace, profiles: ProfileSet, model: AccuracyModel) -> tuple[np.ndarray, ...]:
+    """The read-only weight_schedule arrays (v, w, lam) of the trace's horizon and volume bounds (see _kept)."""
+    return _kept(trace, "_schedule", (profiles, model),
+                 lambda: weight_schedule(trace.horizon, model, trace.d_min, trace.d_max, profiles.min_profit))
 
 
 def ensure_feasible(trace: Trace, profiles: ProfileSet) -> None:
@@ -294,8 +287,8 @@ def run_policy(
     Decisions are open loop: they depend on the slot index and budget,
     never on realized performance, so the sequence is built first and
     scored with evaluate_objective afterwards. The trace keeps its fit
-    table per menus object and orric's weight schedule per curve and menu
-    values, so calls on one trace, offline_optimal's included, build
+    table and orric's weight schedule with the menus and curve they were
+    built from, so calls on one trace, offline_optimal's included, build
     each once; every call returns a new result.
     """
     jbest = _fit_table(trace, profiles)
@@ -314,7 +307,6 @@ def offline_optimal(
     trace: Trace,
     profiles: ProfileSet,
     model: AccuracyModel,
-    cap: int = _ORACLE_CAP,
 ) -> RunResult:
     """Exact offline optimum by dynamic programming over Pareto-frontier states.
 
@@ -331,21 +323,18 @@ def offline_optimal(
     Ties are resolved toward the lexicographically lowest retraining
     sequence, which also means the lowest retraining cost: states are
     kept in prefix order, and among equal states the first prefix wins.
-    The answer is exact over all m^T retraining sequences; that count,
-    reported as meta["enumerated_sequences"], must not exceed cap.
+    The answer is exact over all m^T retraining sequences at any
+    horizon; that count is meta["enumerated_sequences"].
     meta["frontier_peak"] is the largest number of states kept after a
     slot, and meta["states_expanded"] the number of candidates scored,
     the sum over slots of the frontier size times m. The oracle reads
     the fit table the trace keeps for these menus (see run_policy), and
     it divides by the trace's Kahan volume sums, as the scorer does.
     """
-    # the fit table first, so an infeasible trace is reported before the domain and cap checks
+    # the fit table first, so an infeasible trace is reported before the domain check
     jbest = _fit_table(trace, profiles)
     _check_domain(profiles, model)
     m, horizon = profiles.m, trace.horizon
-    total_sequences = m**horizon
-    if total_sequences > cap:
-        raise CapExceededError(f"{m}^{horizon} retraining sequences exceed the cap {cap}")
 
     menus = profiles.arrays
     d = trace.arrays.d
@@ -386,7 +375,7 @@ def offline_optimal(
     for t in range(horizon - 1, -1, -1):
         k, choice[t] = divmod(int(trail[t][k]), m)
     indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-    meta = {"enumerated_sequences": total_sequences, "frontier_peak": peak, "states_expanded": expanded}
+    meta = {"enumerated_sequences": m**horizon, "frontier_peak": peak, "states_expanded": expanded}
     return _labelled(evaluate_objective(indices, trace, profiles, model), "oracle", meta)
 
 

@@ -5,15 +5,11 @@ import math
 from numbers import Real
 from pathlib import Path
 
-__all__ = ["InfeasibleError", "CapExceededError"]
+__all__ = ["InfeasibleError"]
 
 
 class InfeasibleError(Exception):
     """No decision can satisfy the per-slot compute budget."""
-
-
-class CapExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed its configured size cap."""
 
 
 def finite_number(value, name: str, text: bool = False) -> float:

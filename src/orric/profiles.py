@@ -193,8 +193,6 @@ def prune_dominated(
     """
     retrain = [_coerce(e, RetrainConfig) for e in raw_retrain]
     infer = [_coerce(e, InferConfig) for e in raw_infer]
-    if not infer:
-        raise ValueError("inference menu is empty")
     for entry in retrain:
         # such an entry would dominate the required no-op configuration
         if entry.cost == 0.0 and entry.gain > 0.0:

@@ -116,6 +116,18 @@ class TestShapeValidation:
             make_model("exponential-saturation", {"limit": 0.8, "scale": 0.3, "rate": 0.0}, 1.0)
         with pytest.raises(ValueError):
             make_model("linear", {"intercept": 0.5, "slope": -0.1}, 1.0)
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^shifted-log needs positive scale and shift$"):
+                make_model("shifted-log", {"scale": scale, "shift": 1.0, "offset": 0.5}, 1.0)
+
+    def test_negative_domain_rejected(self):
+        with pytest.raises(ValueError, match="^domain_max must be >= 0$"):
+            make_model("linear", {"intercept": 0.5, "slope": 0.3}, -1.0)
+
+    def test_overflowing_curve_rejected(self):
+        # 1e308 * 10 overflows to inf on the validation grid
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^curve is not finite on its domain$"):
+            make_model("linear", {"intercept": 0.5, "slope": 1e308}, 10.0)
 
 
 class TestEndSlope:

@@ -154,7 +154,7 @@ class TestLongHorizonGuarantees:
     @staticmethod
     def assert_floors(trace, ps, model):
         bounds = compute_bounds(model, ps, trace.d_min, trace.d_max, trace.horizon)
-        oracle = offline_optimal(trace, ps, model, cap=ps.m**trace.horizon)
+        oracle = offline_optimal(trace, ps, model)
         orric = run_policy("orric", trace, ps, model).total
         io = run_policy("inference-only", trace, ps, model).total
         assert orric / oracle.total >= bounds.cr_orric - 1e-9

@@ -61,6 +61,11 @@ class TestGenTrace:
         assert out.read_text() == "t,d,c\n1,2,8\n2,2,8\n3,2,8\n"
         assert "3 slots" in capsys.readouterr().out
 
+    def test_constant_law_capacity_defaults_to_volume(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--T", "2", "--law", "constant", "--d", "3", "--out", str(out)]) == 0
+        assert out.read_text() == "t,d,c\n1,3,3\n2,3,3\n"
+
     def test_menu_law_requires_profiles(self, tmp_path, capsys):
         rc = main(["gen-trace", "--T", "3", "--law", "scarce", "--out", str(tmp_path / "t.csv")])
         assert rc == 1
@@ -313,6 +318,25 @@ class TestRun:
         assert summary["inputs"]["replay"]["corruption"] == "fog"
         assert summary["oracle"]["enumerated_sequences"] == 6**4
 
+    def test_empty_policy_list(self, tmp_path, worked_files, capsys):
+        out = tmp_path / "run"
+        rc = main(["run", "--profiles", str(worked_files / "profiles.json"),
+                   "--model", str(worked_files / "model.json"),
+                   "--trace", str(worked_files / "trace.csv"), "--policies", ",", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: empty policy list\n"
+        assert not out.exists()
+
+    def test_bounds_skipped_off_the_curve_domain(self, tmp_path, worked_files):
+        # the menus' top gain 1 lies inside a domain of 2, so the run scores, but the bounds need them equal
+        wide = tmp_path / "wide.json"
+        save_model(wide, make_model("linear", {"intercept": 0.5, "slope": 0.3}, 2.0))
+        out = tmp_path / "run"
+        assert main(["run", "--profiles", str(worked_files / "profiles.json"), "--model", str(wide),
+                     "--trace", str(worked_files / "trace.csv"), "--out", str(out)]) == 0
+        bounds = json.loads((out / "summary.json").read_text())["bounds"]
+        assert bounds == {"skipped": "menu top gain 1.0 must equal the curve domain 2.0 for the closed-form bounds to apply"}
+
     def test_unknown_policy(self, tmp_path, worked_files, capsys):
         rc = main(["run",
                    "--profiles", str(worked_files / "profiles.json"),
@@ -538,6 +562,7 @@ def test_malformed_json_file_names_its_kind(tmp_path, worked_files, capsys, read
     ("replay", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("gen-trace", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("replay", "--seed", str(2**128), f"must be in 0..{2**128 - 1}, got {2**128}"),
+    ("replay", "--seed", "x", "'x' is not an integer"),
 ])
 def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, value, message):
     # each command is valid as given; the flag added last overrides any earlier value
@@ -628,6 +653,16 @@ class TestOracle:
         assert rc == 1
         assert "exceed" in capsys.readouterr().err
 
+    def test_cap_boundary(self, worked_files, capsys):
+        # the worked trace has 2^2 retraining sequences: a cap of 4 admits them, 3 does not
+        argv = ["oracle", "--profiles", str(worked_files / "profiles.json"),
+                "--model", str(worked_files / "model.json"), "--trace", str(worked_files / "trace.csv")]
+        assert main([*argv, "--cap", "4"]) == 0
+        assert capsys.readouterr().out == "oracle: 1.1\n"
+        assert main([*argv, "--cap", "3"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: 2^2 retraining sequences exceed the cap 3\n")
+
     def test_bound_flags_refused(self, worked_files, capsys):
         # the optimum does not depend on declared volume bounds, so oracle takes none
         rc = main(["oracle", "--profiles", str(worked_files / "profiles.json"),
@@ -651,6 +686,13 @@ class TestBounds:
         assert report["alpha"] == 0.0075
         assert report["crossover_horizon"] == pytest.approx(80.0, abs=1e-9)
         assert report["cr_orric"] == pytest.approx(0.6296875, abs=1e-12)
+
+    def test_out_file_holds_the_printed_report(self, tmp_path, worked_files, capsys):
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--profiles", str(worked_files / "profiles.json"),
+                     "--model", str(worked_files / "model.json"),
+                     "--d-min", "1", "--d-max", "10", "--T", "100", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_undefined_crossover(self, tmp_path, capsys):
         profiles = tmp_path / "profiles.json"

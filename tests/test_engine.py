@@ -18,7 +18,6 @@ import orric.atomic as atomic
 import orric.policies as policies
 from orric import (
     AccuracyModel,
-    CapExceededError,
     Decision,
     InfeasibleError,
     ProfileSet,
@@ -320,10 +319,9 @@ class TestOfflineOptimal:
             assert oracle.total == reference.total
 
     def test_cap(self, worked_profiles, worked_model):
+        # the count m^T is reported; the CLI's cap on it is tested in tests/test_cli.py::TestOracle
         trace = Trace(d=tuple([1.0] * 7), c=tuple([15.0] * 7), d_min=1.0, d_max=1.0)
-        with pytest.raises(CapExceededError):
-            offline_optimal(trace, worked_profiles, worked_model, cap=100)
-        result = offline_optimal(trace, worked_profiles, worked_model, cap=128)
+        result = offline_optimal(trace, worked_profiles, worked_model)
         assert result.meta["enumerated_sequences"] == 128
         assert 1 <= result.meta["frontier_peak"] <= 128
 
@@ -344,7 +342,7 @@ class TestOfflineOptimal:
             flat = make_model("constant", {"value": 0.7}, 1.0)
         horizon = 16
         trace = Trace(d=(1.0,) * horizon, c=(15.0,) * horizon, d_min=1.0, d_max=1.0)
-        result = offline_optimal(trace, worked_profiles, flat, cap=2**horizon)
+        result = offline_optimal(trace, worked_profiles, flat)
         assert result.meta["frontier_peak"] == horizon + 1
         # slot t expands the t states left by slot t - 1, two choices each
         assert result.meta["states_expanded"] == sum(2 * t for t in range(1, horizon + 1))
@@ -387,7 +385,7 @@ def solve(trace, profiles, model) -> list:
 
 
 class TestSharedPlan:
-    """A trace keeps its fit table per menus object and its weight schedule per curve and menu values."""
+    """A trace keeps its fit table and its weight schedule with the menus and curve they were built from."""
 
     def test_one_plan_per_instance(self, monkeypatch, worked_profiles, worked_model, worked_trace):
         calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (policies.fit_table, policies.weight_schedule)}
@@ -425,6 +423,17 @@ class TestSharedPlan:
                               ((worked_profiles, faint), (worked_profiles, fainter))):
             assert not np.array_equal(_schedule(fresh(worked_trace), *before)[0],
                                       _schedule(fresh(worked_trace), *after)[0])
+
+    def test_equal_inputs_share_the_plan(self, monkeypatch, worked_profiles, worked_model, worked_trace):
+        # equal menus and curves built afresh read the arrays the trace keeps, without a rebuild
+        kept = (_fit_table(worked_trace, worked_profiles), _schedule(worked_trace, worked_profiles, worked_model))
+        calls = {fn.__name__: count_calls(monkeypatch, fn) for fn in (policies.fit_table, policies.weight_schedule)}
+        profiles = pickle.loads(pickle.dumps(worked_profiles))
+        model = make_model(worked_model.family, worked_model.params, worked_model.domain_max)
+        assert profiles is not worked_profiles and model is not worked_model
+        assert _fit_table(worked_trace, profiles) is kept[0]
+        assert _schedule(worked_trace, profiles, model) is kept[1]
+        assert calls == {"fit_table": [], "weight_schedule": []}
 
     def test_copied_trace_agrees(self, monkeypatch, worked_profiles, worked_model, worked_trace):
         expected = solve(fresh(worked_trace), worked_profiles, worked_model)
@@ -514,6 +523,11 @@ class TestPickle:
         assert len(arrays) >= 4 + 1 + 3 + 4 + len(results)
         assert not any(array.flags.writeable for array in arrays)
 
+    def test_result_is_unequal_to_other_types(self, worked_profiles, worked_model, worked_trace):
+        result = run_policy("orric", worked_trace, worked_profiles, worked_model)
+        assert result.__eq__(object()) is NotImplemented
+        assert result != object()
+
     def test_used_objects_pickle_as_fresh_ones(self, worked_profiles, worked_model, worked_trace):
         unused = pickle.dumps((fresh(worked_trace), ProfileSet(worked_profiles.retrain, worked_profiles.infer)))
         solve(worked_trace, worked_profiles, worked_model)
@@ -545,9 +559,8 @@ class TestCurveCalls:
             ps, model, trace = top_retraining_instance(rng)
             spy, calls = curve_spy(model)
             top = [Decision(ps.m, ps.n)] * trace.horizon
-            cap = ps.m**trace.horizon
             assert evaluate_objective(top, trace, ps, spy) == evaluate_objective(top, trace, ps, model)
-            assert offline_optimal(trace, ps, spy, cap=cap) == offline_optimal(trace, ps, model, cap=cap)
+            assert offline_optimal(trace, ps, spy) == offline_optimal(trace, ps, model)
             assert inside_domain(calls, model)
             # the unclipped x of the top sequence: the scorer's Kahan sums, the oracle's plain ones
             d = trace.arrays.d

@@ -283,6 +283,10 @@ class TestHeuristics:
         with pytest.raises(ValueError):
             heuristic_step("greedy", 1, 2, 12.0, worked_profiles)
 
+    def test_slot_outside_horizon(self, worked_profiles):
+        with pytest.raises(ValueError, match=r"^slot t = 3 outside 1\.\.2$"):
+            heuristic_step(INFERENCE_GREEDY, 3, 2, 12.0, worked_profiles)
+
     def test_inference_only_ignores_retraining(self, worked_profiles):
         assert heuristic_step(INFERENCE_ONLY, 1, 2, 12.0, worked_profiles) == Decision(1, 2)
         assert heuristic_step(INFERENCE_ONLY, 1, 2, 4.0, worked_profiles) == Decision(1, 1)

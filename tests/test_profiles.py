@@ -75,6 +75,8 @@ class TestValidation:
             ProfileSet(retrain=[], infer=[(0.5, 1.0)])
         with pytest.raises(ValueError):
             ProfileSet(retrain=[(0.0, 0.0)], infer=[])
+        with pytest.raises(ValueError, match="^inference menu is empty$"):
+            prune_dominated([(0, 0)], [])
 
     def test_zero_configuration_required(self):
         with pytest.raises(ValueError):
@@ -257,6 +259,18 @@ class TestIO:
         }))
         retrain, infer = read_menus(path)
         assert len(infer) == 2
+
+    def test_wrong_csv_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("kind,payoff,cost\ninfer,0.5,1\n")
+        with pytest.raises(ValueError, match="^profile CSV must have header kind,gain_or_profit,cost$"):
+            read_menus(path)
+
+    def test_json_menu_not_a_list(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"retrain": 5, "infer": [{"profit": 1.0, "cost": 1.0}]}))
+        with pytest.raises(ValueError, match='^profile JSON "retrain" must be a list$'):
+            read_menus(path)
 
     def test_unknown_csv_kind(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -212,6 +212,8 @@ class TestReplay:
             ReplaySpec(corruption="fog", sampling_ratios=())
         with pytest.raises(ValueError):
             ReplaySpec(corruption="fog", sampling_ratios=(0.0,))
+        with pytest.raises(ValueError, match="^sampling_ratios must be >= 0$"):
+            ReplaySpec(corruption="fog", sampling_ratios=(-0.1, 0.5))
         with pytest.raises(ValueError):
             ReplaySpec(corruption="fog", train_cost_multiplier=0.0)
         with pytest.raises(ValueError):

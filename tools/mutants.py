@@ -87,11 +87,11 @@ CATALOGUE = {
             "tests/test_policies.py::TestFitTable::test_decisions_match_pair_enumeration",
         ),
     ),
-    # a kept schedule built for another L must not be reused
-    "schedule-key-without-L": Mutant(
+    # a kept schedule built for another curve must not be reused
+    "kept-first-input-only": Mutant(
         "src/orric/engine.py",
-        "key = (model.L, model.f_at_max, model.g_at_max, profiles.min_profit)",
-        "key = (model.f_at_max, model.g_at_max, profiles.min_profit)",
+        "if kept is None or kept[0] != inputs:",
+        "if kept is None or kept[0][0] != inputs[0]:",
         ("tests/test_engine.py::TestSharedPlan",),
     ),
     # the witness reports the first hit in the whole lattice's C scan order
@@ -149,6 +149,13 @@ CATALOGUE = {
         '    "SAMPLING_RATIOS",\n]',
         '    "SAMPLING_RATIOS",\n    "Trace",\n]',
         ("tests/test_tooling.py::test_package_exports_each_module_all_once",),
+    ),
+    # a cap of exactly m^T admits the oracle
+    "cli-cap-strict": Mutant(
+        "src/orric/cli.py",
+        "if m**horizon > cap else None",
+        "if m**horizon >= cap else None",
+        ("tests/test_cli.py::TestOracle::test_cap_boundary",),
     ),
 }
 
