@@ -1,4 +1,4 @@
-"""Atomic file output shared by every writer in the package."""
+"""Atomic file output shared by every writer in the package, and the one writer of its per-slot CSVs."""
 
 from __future__ import annotations
 
@@ -25,3 +25,9 @@ def write_atomic(path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: str, row: str, columns) -> None:
+    """Write a CSV atomically: the header line, then row % fields for each zip(*columns), one per line."""
+    lines = [header, *(row % fields for fields in zip(*columns))]
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .accuracy import load_model, save_model
 from .analysis import bounds_report
-from .atomic import write_atomic
+from .atomic import write_atomic, write_csv
 from .engine import (
     _SIG,
     _schedule,
@@ -79,6 +79,7 @@ def _int_in(lo: int, hi: int | None = None):
 
 _non_negative = _int_in(0)
 _seed = _int_in(0, SEED_MAX)
+_horizon = _int_in(1)
 # nonconvexity_witness holds one lattice row, grid^3 doubles (2 MiB at 64); the cap
 # bounds worst-case time, since a search that finds no witness visits grid^5 points
 _grid_points = _int_in(2, 64)
@@ -109,11 +110,8 @@ def _json_text(payload) -> str:
 
 def _write_schedule_csv(path: Path, weights) -> None:
     """Write the (v, w, lam) weight_schedule arrays as t,v,w,lambda rows."""
-    v, w, lam = weights
-    rows = zip(range(1, len(v) + 1), v.tolist(), w.tolist(), lam.tolist())
-    row_text = f"%d,{_SIG},{_SIG},{_SIG}"
-    lines = ["t,v,w,lambda"] + [row_text % row for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+    columns = [values.tolist() for values in weights]
+    write_csv(path, "t,v,w,lambda", f"%d,{_SIG},{_SIG},{_SIG}", (range(1, len(columns[0]) + 1), *columns))
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-trace", help="draw a trace from a law and write it as CSV")
-    p.add_argument("--T", type=int, required=True, help="number of slots")
+    p.add_argument("--T", type=_horizon, required=True, help="number of slots")
     p.add_argument("--d-law", choices=D_LAWS, default="constant",
                    help="data volume law (default constant)")
     p.add_argument("--d", type=_finite, default=1000.0, help="data volume, or its lower bound under the uniform law")
@@ -341,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--d-min", type=_finite, required=True)
     p.add_argument("--d-max", type=_finite, required=True)
-    p.add_argument("--T", type=int, required=True)
+    p.add_argument("--T", type=_horizon, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("replay", help="build the replay scenario, run all policies, write a summary")
     p.add_argument("corruption", nargs="?", default=None, help="corruption label from the shipped table")
     p.add_argument("--spec", default=None, help="replay spec JSON (alternative to the label)")
-    p.add_argument("--T", type=int, default=None)
+    p.add_argument("--T", type=_horizon, default=None)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--kappa", type=_finite, default=None)
     p.add_argument("--f-at-max", type=_finite, default=None)

@@ -18,18 +18,16 @@ weight schedule with the menus and curve they were built from.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .accuracy import _DOMAIN_TOL, AccuracyModel
-from .atomic import write_atomic
-from .errors import InfeasibleError, finite_number
+from .atomic import write_csv
+from .errors import InfeasibleError, finite_number, read_csv
 from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
@@ -473,21 +471,12 @@ def nonconvexity_witness(
 
 def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None) -> Trace:
     """Read a trace from CSV (header t,d,c); bounds default to the observed range."""
-    path = Path(path)
     slots: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["t", "d", "c"]:
-            raise ValueError("trace CSV must have header t,d,c")
-        for expected_t, row in enumerate(reader, 1):
-            line = f"trace CSV line {reader.line_num}"
-            # csv fills a short row with None and files extra fields under the key None
-            if None in row or None in row.values():
-                raise ValueError(f"{line} needs t, d and c")
-            t, *slot = (finite_number(row[key], f"{line} {key}", text=True) for key in "tdc")
-            if t != expected_t:
-                raise ValueError(f"{line} t must be {expected_t} (slots run 1..T), got {row['t']!r}")
-            slots.append(slot)
+    for expected_t, (line, row) in enumerate(read_csv(path, "trace", "t,d,c", "t, d and c"), 1):
+        t, *slot = (finite_number(row[key], f"{line} {key}", text=True) for key in "tdc")
+        if t != expected_t:
+            raise ValueError(f"{line} t must be {expected_t} (slots run 1..T), got {row['t']!r}")
+        slots.append(slot)
     if not slots:
         raise ValueError("trace CSV has no rows")
     d, c = zip(*slots)
@@ -505,17 +494,13 @@ def write_trace_csv(path, trace: Trace) -> None:
     Each value is its shortest round-trip repr, with an integral value's
     trailing ".0" dropped, so a budget on a pair's cost stays on it.
     """
-    lines = ["t,d,c"]
-    for t in range(trace.horizon):
-        lines.append(f"{t + 1},{repr(trace.d[t]).removesuffix('.0')},{repr(trace.c[t]).removesuffix('.0')}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    d, c = ([repr(x).removesuffix(".0") for x in values] for values in (trace.d, trace.c))
+    write_csv(path, "t,d,c", "%d,%s,%s", (range(1, trace.horizon + 1), d, c))
 
 
 def write_run_csv(path, result: RunResult, trace: Trace) -> None:
     """Per-slot run report: t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity."""
     u_text, c_text = trace._run_csv_columns
-    rows = zip(range(1, trace.horizon + 1), *result.indices.T.tolist(), u_text, result.per_slot_perf,
-               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, c_text)
-    lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
-    lines += [_RUN_ROW % row for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, "t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity", _RUN_ROW,
+              (range(1, trace.horizon + 1), *result.indices.T.tolist(), u_text, result.per_slot_perf,
+               _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, c_text))

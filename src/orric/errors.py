@@ -1,5 +1,6 @@
-"""Shared exception types, and the rules for a JSON file and a number read from outside the program."""
+"""Shared exception types, and the rules for a JSON file, a CSV file and a number read from outside the program."""
 
+import csv
 import json
 import math
 from numbers import Real
@@ -33,3 +34,21 @@ def read_json(path, kind: str):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad {kind}: {exc}") from exc
+
+
+def read_csv(path, kind: str, header: str, needs: str):
+    """Each data row of the CSV file at path as a (line label, row dict) pair.
+
+    The header must be exactly header, and each row must have every field
+    and no more; either error names the file's kind, and a row error its line.
+    """
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != header.split(","):
+            raise ValueError(f"{kind} CSV must have header {header}")
+        for row in reader:
+            line = f"{kind} CSV line {reader.line_num}"
+            # csv fills a short row with None and files extra fields under the key None
+            if None in row or None in row.values():
+                raise ValueError(f"{line} needs {needs}")
+            yield line, row

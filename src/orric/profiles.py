@@ -12,7 +12,6 @@ they are only ever compared, never converted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import finite_number, read_json
+from .errors import finite_number, read_csv, read_json
 
 __all__ = [
     "RetrainConfig",
@@ -231,24 +230,15 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         retrain, infer = [], []
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["kind", "gain_or_profit", "cost"]
-            if reader.fieldnames != expected:
-                raise ValueError(f"profile CSV must have header {','.join(expected)}")
-            for row in reader:
-                line = f"profile CSV line {reader.line_num}"
-                # csv fills a short row with None and files extra fields under the key None
-                if None in row or None in row.values():
-                    raise ValueError(f"{line} needs a kind and two numbers")
-                kind = row["kind"].strip()
-                payoff, cost = (finite_number(row[key], f"{line} {key}", text=True) for key in expected[1:])
-                if kind == "retrain":
-                    retrain.append(RetrainConfig(payoff, cost))
-                elif kind == "infer":
-                    infer.append(InferConfig(payoff, cost))
-                else:
-                    raise ValueError(f"unknown profile kind {kind!r}")
+        for line, row in read_csv(path, "profile", "kind,gain_or_profit,cost", "a kind and two numbers"):
+            kind = row["kind"].strip()
+            payoff, cost = (finite_number(row[key], f"{line} {key}", text=True) for key in ("gain_or_profit", "cost"))
+            if kind == "retrain":
+                retrain.append(RetrainConfig(payoff, cost))
+            elif kind == "infer":
+                infer.append(InferConfig(payoff, cost))
+            else:
+                raise ValueError(f"unknown profile kind {kind!r}")
     else:
         data = read_json(path, "profile JSON")
         if not isinstance(data, dict):

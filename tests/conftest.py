@@ -297,6 +297,14 @@ def reference_run_csv(result, trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_trace_csv(trace) -> str:
+    """Reference trace CSV text: the per-slot f-string rows write_trace_csv wrote before the shared CSV writer."""
+    lines = ["t,d,c"]
+    for t, (d, c) in enumerate(zip(trace.d, trace.c), 1):
+        lines.append(f"{t},{repr(d).removesuffix('.0')},{repr(c).removesuffix('.0')}")
+    return "\n".join(lines) + "\n"
+
+
 def reference_schedule_csv(v, w, lam) -> str:
     """Reference schedule.csv text: the per-value rows the CLI wrote before its % template."""
     lines = ["t,v,w,lambda"]

@@ -563,6 +563,10 @@ def test_malformed_json_file_names_its_kind(tmp_path, worked_files, capsys, read
     ("gen-trace", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("replay", "--seed", str(2**128), f"must be in 0..{2**128 - 1}, got {2**128}"),
     ("replay", "--seed", "x", "'x' is not an integer"),
+    ("gen-trace", "--T", "0", "must be >= 1, got 0"),
+    ("bounds", "--T", "0", "must be >= 1, got 0"),
+    ("replay", "--T", "0", "must be >= 1, got 0"),
+    ("replay", "--T", "abc", "'abc' is not an integer"),
 ])
 def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, value, message):
     # each command is valid as given; the flag added last overrides any earlier value
@@ -574,6 +578,7 @@ def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, va
         "oracle": ["oracle", "--profiles", profiles, "--model", model,
                    "--trace", str(worked_files / "trace.csv")],
         "gen-trace": ["gen-trace", "--T", "2", "--law", "constant", "--c", "2", "--out", out],
+        "bounds": ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "1", "--T", "2"],
     }[command]
     assert main(argv) == 0
     capsys.readouterr()

@@ -52,6 +52,7 @@ from conftest import (
     reference_objective,
     reference_run_csv,
     reference_schedule_csv,
+    reference_trace_csv,
     reference_witness,
 )
 
@@ -837,6 +838,8 @@ class TestRunCSV:
                                               odd_trace)):
                 write_run_csv(tmp_path / "run.csv", res, tr)
                 assert (tmp_path / "run.csv").read_bytes() == reference_run_csv(res, tr).encode()
+            write_trace_csv(tmp_path / "trace.csv", odd_trace)
+            assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(odd_trace).encode()
 
             weights = (mixed(horizon), mixed(horizon), mixed(horizon))
             _write_schedule_csv(tmp_path / "schedule.csv", weights)
@@ -844,7 +847,7 @@ class TestRunCSV:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("writer", ["trace", "run", "profiles", "model"])
+    @pytest.mark.parametrize("writer", ["trace", "run", "schedule", "profiles", "model"])
     def test_failed_replace_keeps_old_file(
         self, tmp_path, monkeypatch, writer, worked_profiles, worked_model, worked_trace
     ):
@@ -860,6 +863,7 @@ class TestAtomicWrites:
             "run": lambda: write_run_csv(
                 path, run_policy("orric", worked_trace, worked_profiles, worked_model), worked_trace
             ),
+            "schedule": lambda: _write_schedule_csv(path, _schedule(worked_trace, worked_profiles, worked_model)),
             "profiles": lambda: save_profiles(path, worked_profiles),
             "model": lambda: save_model(path, worked_model),
         }[writer]

@@ -157,6 +157,33 @@ CATALOGUE = {
         "if m**horizon >= cap else None",
         ("tests/test_cli.py::TestOracle::test_cap_boundary",),
     ),
+    # a CSV input with another header must be refused, not read by whatever columns it happens to have
+    "csv-reader-any-header": Mutant(
+        "src/orric/errors.py",
+        'if reader.fieldnames != header.split(","):',
+        "if False:",
+        (
+            "tests/test_engine.py::TestTraceCSV::test_header_required",
+            "tests/test_profiles.py::TestIO::test_wrong_csv_header",
+        ),
+    ),
+    # a short row or one with extra fields must be refused with its line
+    "csv-reader-any-row": Mutant(
+        "src/orric/errors.py",
+        "if None in row or None in row.values():",
+        "if False:",
+        (
+            "tests/test_cli.py::TestRun::test_malformed_trace_row",
+            "tests/test_cli.py::TestPrune::test_malformed_menu_csv_row",
+        ),
+    ),
+    # every CSV the package writes ends with a newline
+    "csv-writer-no-final-newline": Mutant(
+        "src/orric/atomic.py",
+        'write_atomic(path, "\\n".join(lines) + "\\n")',
+        'write_atomic(path, "\\n".join(lines))',
+        ("tests/test_engine.py::TestRunCSV::test_templates_match_f_string_reference",),
+    ),
 }
 
 
