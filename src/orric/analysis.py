@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .accuracy import AccuracyModel
 from .engine import Trace
+from .errors import integer, volume_bounds
 from .profiles import ProfileSet
 from .scenario import TraceSpec, generate_trace
 
@@ -64,10 +65,8 @@ def compute_bounds(
     Requires the menu's top gain to coincide with the curve domain, so
     f_at_max really is the accuracy after one slot of full retraining.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if not 0.0 < d_min <= d_max:
-        raise ValueError("need 0 < d_min <= d_max")
+    horizon = integer(horizon, "horizon", 1)
+    d_min, d_max = volume_bounds(d_min, d_max)
     _check_consistent(model, profiles)
 
     f0 = model.eval(0.0)

@@ -29,7 +29,7 @@ from .engine import (
     write_run_csv,
     write_trace_csv,
 )
-from .errors import InfeasibleError, finite_number
+from .errors import InfeasibleError, finite_number, integer
 from .policies import KNOWLEDGE_DISTILLATION, POLICIES
 from .profiles import load_profiles, prune_dominated, read_menus, save_profiles
 from .scenario import C_LAWS, D_LAWS, SEED_MAX, ReplaySpec, TraceSpec, build_replay, generate_trace, load_replay_spec
@@ -53,36 +53,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite(text: str) -> float:
-    """argparse type for float flags: non-numbers, NaN and infinities are usage errors."""
-    try:
-        return finite_number(text, "flag", text=True)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
+def _flag(rule, *bounds):
+    """argparse type reading a flag through an errors rule (finite_number or integer); a refusal is a usage error."""
 
-
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type for integer flags that must lie in lo..hi (no upper bound when hi is None)."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < lo or (hi is not None and value > hi):
-            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
+            return rule(text, "value", *bounds, text=True)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_non_negative = _int_in(0)
-_seed = _int_in(0, SEED_MAX)
-_horizon = _int_in(1)
+_finite = _flag(finite_number)
+_non_negative = _flag(integer, 0)
+_seed = _flag(integer, 0, SEED_MAX)
+_horizon = _flag(integer, 1)
 # nonconvexity_witness holds one lattice row, grid^3 doubles (2 MiB at 64); the cap
 # bounds worst-case time, since a search that finds no witness visits grid^5 points
-_grid_points = _int_in(2, 64)
+_grid_points = _flag(integer, 2, 64)
 
 
 def _fmt(x: float) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .accuracy import _DOMAIN_TOL, AccuracyModel
 from .atomic import write_csv
-from .errors import InfeasibleError, finite_number, read_csv
+from .errors import InfeasibleError, finite_number, integer, read_csv, volume_bounds
 from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
@@ -107,10 +107,10 @@ class Trace:
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         if not self.d or len(self.d) != len(self.c):
             raise ValueError("d and c must be non-empty and equal length")
-        if not all(map(math.isfinite, (*self.d, *self.c, self.d_min, self.d_max))):
-            raise ValueError("volumes, capacities and volume bounds must be finite")
-        if not 0.0 < self.d_min <= self.d_max:
-            raise ValueError("need 0 < d_min <= d_max")
+        if not all(map(math.isfinite, (*self.d, *self.c))):
+            raise ValueError("volumes and capacities must be finite")
+        for name, bound in zip(("d_min", "d_max"), volume_bounds(self.d_min, self.d_max)):
+            object.__setattr__(self, name, bound)
         if min(self.d) < self.d_min or max(self.d) > self.d_max:
             raise ValueError("data volume outside the declared [d_min, d_max] bounds")
         if min(self.c) < 0.0:
@@ -433,8 +433,7 @@ def nonconvexity_witness(
     """
     if not 0.0 < y_lo < y_hi:
         raise ValueError("need 0 < y_lo < y_hi")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    grid_points = integer(grid_points, "grid_points", 2)
     xs = np.linspace(0.0, model.domain_max, grid_points)
     ys = np.linspace(y_lo, y_hi, grid_points)
     alphas = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]

@@ -1,9 +1,10 @@
-"""Shared exception types, and the rules for a JSON file, a CSV file and a number read from outside the program."""
+"""Shared exception types, and the one rule for each input from outside the program: a JSON file, a CSV
+file, a number (finite_number), an integer (integer) and a pair of declared volume bounds (volume_bounds)."""
 
 import csv
 import json
 import math
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 __all__ = ["InfeasibleError"]
@@ -26,6 +27,29 @@ def finite_number(value, name: str, text: bool = False) -> float:
     except (ValueError, OverflowError):  # text that float() cannot read; an int past the float range
         pass
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def integer(value, name: str, lo: int, hi: int | None = None, text: bool = False) -> int:
+    """value as an int when it is an integer (an int or a numpy integer, never a bool or a float; a str only in a flag,
+    text=True, as int() reads it) in lo..hi, with no upper bound when hi is None; else a ValueError naming the field."""
+    bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    try:
+        number = int(value) if text and isinstance(value, str) else value
+    except ValueError:  # text that int() cannot read
+        number = None
+    if not isinstance(number, Integral) or isinstance(number, bool):
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    if number < lo or (hi is not None and number > hi):
+        raise ValueError(f"{name} must be {bound}, got {number}")
+    return int(number)
+
+
+def volume_bounds(d_min, d_max) -> tuple[float, float]:
+    """The declared volume bounds as floats when each is a finite number and 0 < d_min <= d_max, else a ValueError."""
+    d_min, d_max = finite_number(d_min, "d_min"), finite_number(d_max, "d_max")
+    if not 0.0 < d_min <= d_max:
+        raise ValueError(f"need 0 < d_min <= d_max, got {d_min!r} and {d_max!r}")
+    return d_min, d_max
 
 
 def read_json(path, kind: str):

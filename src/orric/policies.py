@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accuracy import AccuracyModel
-from .errors import InfeasibleError
+from .errors import InfeasibleError, finite_number, integer, volume_bounds
 from .profiles import ProfileSet
 
 __all__ = [
@@ -76,18 +76,15 @@ def weight_schedule(
     the correctly rounded sum of its 1/tau terms, the value math.fsum
     returns. d_min, d_max and a_min_infer must be finite.
     """
-    for name, value in (("d_min", d_min), ("d_max", d_max), ("a_min_infer", a_min_infer)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0.0 < d_min <= d_max:
-        raise ValueError("need 0 < d_min <= d_max")
-    if a_min_infer <= 0.0:
+    horizon = integer(horizon, "horizon", 1)
+    d_min, d_max = volume_bounds(d_min, d_max)
+    if finite_number(a_min_infer, "a_min_infer") <= 0.0:
         raise ValueError("a_min_infer must be positive")
     # For 1 <= t < horizon, the double 1/t is at least 2^-bit_length(horizon) and has
     # a 53-bit significand, so it is a whole number of units 2^-scale. Each tail is
     # then an exact integer in those units, and int / int true division rounds it
     # once, correctly: tails[t - 1] == math.fsum(1 / tau for tau in range(t, horizon))
-    scale = 52 + int(horizon).bit_length()
+    scale = 52 + horizon.bit_length()
     tails = [0.0] * horizon
     units = 0
     for t in range(horizon - 1, 0, -1):
@@ -108,8 +105,7 @@ def compute_weights(
     a_min_infer: float,
 ) -> tuple[float, float, float]:
     """Slot t's (v, w, lam) of the weight schedule for the given horizon (see weight_schedule)."""
-    if not 1 <= t <= horizon:
-        raise ValueError(f"slot t = {t} outside 1..{horizon}")
+    t = integer(t, "slot t", 1, integer(horizon, "horizon", 1))
     return tuple(float(a[t - 1]) for a in weight_schedule(horizon, model, d_min, d_max, a_min_infer))
 
 
@@ -185,8 +181,7 @@ def table_decisions(
 
 def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> Decision:
     """The table rule's decision for slot t of unit volume with per-sample budget u."""
-    if not 1 <= t <= horizon:
-        raise ValueError(f"slot t = {t} outside 1..{horizon}")
+    t = integer(t, "slot t", 1, integer(horizon, "horizon", 1))
     if not math.isfinite(u):
         raise ValueError(f"per-sample budget u must be finite, got {u!r}")
     jbest = fit_table([1.0], [u], profiles)

@@ -14,14 +14,13 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
 
 from .accuracy import AccuracyModel, make_model
 from .engine import Trace, ensure_feasible
-from .errors import finite_number, read_json
+from .errors import finite_number, integer, read_json, volume_bounds
 from .profiles import InferConfig, ProfileSet, RetrainConfig, normalize_profits, prune_dominated
 
 __all__ = [
@@ -53,13 +52,6 @@ TABLE_COLUMNS = {
 SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
 
 
-def _check_integer(value, name: str, lo: int, hi: int | None = None) -> None:
-    """Refuse value unless it is an integer in lo..hi (no upper bound when hi is None); a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TraceSpec:
     """Declarative trace description.
@@ -80,16 +72,13 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer(self.horizon, "horizon", 1)
-        _check_integer(self.seed, "seed", 0, SEED_MAX)
+        integer(self.horizon, "horizon", 1)
+        integer(self.seed, "seed", 0, SEED_MAX)
         if self.d_law not in D_LAWS:
             raise ValueError(f"unknown d_law {self.d_law!r}; known: {list(D_LAWS)}")
         if self.c_law not in C_LAWS:
             raise ValueError(f"unknown c_law {self.c_law!r}; known: {list(C_LAWS)}")
-        if self.d_lo <= 0.0:
-            raise ValueError("d_lo must be positive")
-        if self.d_hi is not None and self.d_hi < self.d_lo:
-            raise ValueError("d_hi must be >= d_lo")
+        volume_bounds(self.d_lo, self.d_lo if self.d_hi is None else self.d_hi)  # its traces' declared bounds
 
 
 def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace:
@@ -169,10 +158,11 @@ class ReplaySpec:
             raise ValueError("sampling_ratios must be >= 0")
         if self.train_cost_multiplier <= 0.0:
             raise ValueError("train_cost_multiplier must be positive")
-        _check_integer(self.epochs_per_slot, "epochs_per_slot", 1)
+        integer(self.epochs_per_slot, "epochs_per_slot", 1)
         if self.L < 0.0:
             raise ValueError("L must be >= 0")
-        _check_integer(self.horizon, "horizon", 1)
+        integer(self.horizon, "horizon", 1)
+        integer(self.seed, "seed", 0, SEED_MAX)
         if self.data_per_slot <= 0.0:
             raise ValueError("data_per_slot must be positive")
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -433,7 +435,7 @@ def test_non_finite_float_flag(tmp_path, worked_files, capsys, flag, value):
     assert main(command) == 0
     capsys.readouterr()
     assert main([*command, flag, value]) == 1
-    assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
+    assert f"argument {flag}: value must be a finite number, got '{value}'" in capsys.readouterr().err
 
 
 # valid documents and text files for each reader of numbers from outside the program
@@ -484,7 +486,7 @@ def outside_number_cases():
             yield pytest.param(reader, where, value, f"{field} must be a finite number, got {value!r}",
                                id=f"{reader}-line{row + 1}-{NUMBER_TEXT[reader][0][column]}-{value}")
         for flag in FLOAT_FLAGS:
-            yield pytest.param("flag", flag, value, f"argument {flag}: {value!r} is not a finite number",
+            yield pytest.param("flag", flag, value, f"argument {flag}: value must be a finite number, got {value!r}",
                                id=f"flag{flag}-{value}")
 
 
@@ -562,11 +564,11 @@ def test_malformed_json_file_names_its_kind(tmp_path, worked_files, capsys, read
     ("replay", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("gen-trace", "--seed", "-1", f"must be in 0..{2**128 - 1}, got -1"),
     ("replay", "--seed", str(2**128), f"must be in 0..{2**128 - 1}, got {2**128}"),
-    ("replay", "--seed", "x", "'x' is not an integer"),
+    ("replay", "--seed", "x", f"must be an integer in 0..{2**128 - 1}, got 'x'"),
     ("gen-trace", "--T", "0", "must be >= 1, got 0"),
     ("bounds", "--T", "0", "must be >= 1, got 0"),
     ("replay", "--T", "0", "must be >= 1, got 0"),
-    ("replay", "--T", "abc", "'abc' is not an integer"),
+    ("replay", "--T", "abc", "must be an integer >= 1, got 'abc'"),
 ])
 def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, value, message):
     # each command is valid as given; the flag added last overrides any earlier value
@@ -583,7 +585,8 @@ def test_out_of_range_int_flag(tmp_path, worked_files, capsys, command, flag, va
     assert main(argv) == 0
     capsys.readouterr()
     assert main([*argv, flag, value]) == 1
-    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    # the integer rule's message, naming the flag's text "value"
+    assert f"argument {flag}: value {message}" in capsys.readouterr().err
 
 
 class TestSharedPlan:
@@ -699,6 +702,21 @@ class TestBounds:
                      "--d-min", "1", "--d-max", "10", "--T", "100", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("target, code", [("missing/bounds.json", errno.ENOENT), ("existing-dir", errno.EISDIR)])
+    def test_failed_write_names_the_target(self, tmp_path, worked_files, capsys, monkeypatch, target, code):
+        # the temporary file's name is random, so a message naming it would differ between reruns
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing-dir").mkdir()
+        profiles, model = str(worked_files / "profiles.json"), str(worked_files / "model.json")
+        argv = ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "10", "--T", "100",
+                "--out", target]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n"
+        assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
+
     def test_undefined_crossover(self, tmp_path, capsys):
         profiles = tmp_path / "profiles.json"
         save_profiles(profiles, ProfileSet(retrain=[(0.0, 0.0)], infer=[(1.0, 5.0)]))
@@ -770,8 +788,8 @@ class TestReplayCommand:
         ("horizon", True, "horizon must be an integer >= 1, got True"),
         ("epochs_per_slot", 1.5, "epochs_per_slot must be an integer >= 1, got 1.5"),
         ("epochs_per_slot", True, "epochs_per_slot must be an integer >= 1, got True"),
-        ("seed", -1, f"seed must be an integer in 0..{2**128 - 1}, got -1"),
-        ("seed", 2**128, f"seed must be an integer in 0..{2**128 - 1}, got {2**128}"),
+        ("seed", -1, f"seed must be in 0..{2**128 - 1}, got -1"),
+        ("seed", 2**128, f"seed must be in 0..{2**128 - 1}, got {2**128}"),
         ("seed", True, f"seed must be an integer in 0..{2**128 - 1}, got True"),
         ("train_cost_multiplier", float("nan"), "train_cost_multiplier must be a finite number, got nan"),
         ("L", float("inf"), "L must be a finite number, got inf"),
@@ -820,7 +838,7 @@ class TestWitness:
         save_model(model, make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0))
         rc = main(["witness", "--model", str(model), "--y-lo", "0.5", "--y-hi", "1", "--grid", grid])
         assert rc == 1
-        assert f"argument --grid: must be in 2..64, got {grid}" in capsys.readouterr().err
+        assert f"argument --grid: value must be in 2..64, got {grid}" in capsys.readouterr().err
 
     def test_smallest_grid(self, tmp_path, capsys):
         model = tmp_path / "model.json"

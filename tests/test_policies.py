@@ -216,7 +216,7 @@ class TestComputeWeights:
             weight_schedule(4, m, 1.0, 1.0, 0.0)
         for bounds in [(1.0, 2.0, math.nan), (1.0, math.inf, 0.5), (1.0, 2.0, math.inf),
                        (math.nan, 2.0, 0.5), (1.0, math.nan, 0.5), (-math.inf, 2.0, 0.5)]:
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="must be a finite number"):
                 weight_schedule(4, m, *bounds)
 
 
@@ -284,7 +284,7 @@ class TestHeuristics:
             heuristic_step("greedy", 1, 2, 12.0, worked_profiles)
 
     def test_slot_outside_horizon(self, worked_profiles):
-        with pytest.raises(ValueError, match=r"^slot t = 3 outside 1\.\.2$"):
+        with pytest.raises(ValueError, match=r"^slot t must be in 1\.\.2, got 3$"):
             heuristic_step(INFERENCE_GREEDY, 3, 2, 12.0, worked_profiles)
 
     def test_inference_only_ignores_retraining(self, worked_profiles):

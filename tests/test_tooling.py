@@ -1,6 +1,6 @@
 """Names the benchmark tracer wraps must exist in the package and keep covering the work they time;
 the package's public names are its modules' __all__ lists, each name once; the mutation catalogue's
-snippets and tests must exist too."""
+snippets and tests must exist too; the integer and volume-bound rules are stated once."""
 
 from __future__ import annotations
 
@@ -171,3 +171,26 @@ def test_mutant_catalogue_points_at_the_code():
             text = (ROOT / path).read_text()
             for node in nodes:
                 assert f"def {node}(" in text or f"class {node}:" in text, f"{name}: {test}"
+
+
+def rule_statements(path: Path) -> set[str]:
+    """Which of the two input rules the module states: a numbers.Integral test, a d_min/d_max comparison."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if "Integral" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            found.add("Integral")
+        if isinstance(node, ast.Compare):
+            operands = (node.left, *node.comparators)
+            names = {getattr(operand, "id", getattr(operand, "attr", None)) for operand in operands}
+            if names & {"d_min", "d_lo"} and names & {"d_max", "d_hi"}:
+                found.add("d_min <= d_max")
+    return found
+
+
+def test_integer_and_volume_bound_rules_are_stated_once():
+    # errors.integer and errors.volume_bounds are the one statement of each rule; every other module calls them
+    errors = ROOT / "src" / "orric" / "errors.py"
+    assert rule_statements(errors) == {"Integral", "d_min <= d_max"}
+    for path in sorted(errors.parent.glob("*.py")):
+        if path != errors:
+            assert not rule_statements(path), path.name

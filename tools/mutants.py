@@ -104,8 +104,8 @@ CATALOGUE = {
     # one bit coarser, the tail units no longer hold 1/t exactly
     "schedule-tail-unit-coarser": Mutant(
         "src/orric/policies.py",
-        "scale = 52 + int(horizon).bit_length()",
-        "scale = 51 + int(horizon).bit_length()",
+        "scale = 52 + horizon.bit_length()",
+        "scale = 51 + horizon.bit_length()",
         ("tests/test_policies.py::TestComputeWeights",),
     ),
     # 73.29 / 100 is an ulp away from the 0.7329 the table's digits spell
@@ -183,6 +183,38 @@ CATALOGUE = {
         'write_atomic(path, "\\n".join(lines) + "\\n")',
         'write_atomic(path, "\\n".join(lines))',
         ("tests/test_engine.py::TestRunCSV::test_templates_match_f_string_reference",),
+    ),
+    # a bool is an Integral, but True is no horizon, seed or slot
+    "integer-accepts-bool": Mutant(
+        "src/orric/errors.py",
+        "if not isinstance(number, Integral) or isinstance(number, bool):",
+        "if not isinstance(number, Integral):",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_scenario.py::TestTraceSpec::test_validation",
+            "tests/test_cli.py::TestReplayCommand::test_malformed_spec",
+        ),
+    ),
+    # an infinite d_max passes 0 < d_min <= d_max, and an infinite d_min turns the bounds into NaN
+    "volume-bounds-unchecked": Mutant(
+        "src/orric/errors.py",
+        'd_min, d_max = finite_number(d_min, "d_min"), finite_number(d_max, "d_max")',
+        "d_min, d_max = float(d_min), float(d_max)",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_engine.py::TestTrace::test_non_finite_rejected",
+            "tests/test_policies.py::TestComputeWeights::test_argument_validation",
+        ),
+    ),
+    # equal bounds are the declared range of every constant trace
+    "volume-bounds-strict": Mutant(
+        "src/orric/errors.py",
+        "if not 0.0 < d_min <= d_max:",
+        "if not 0.0 < d_min < d_max:",
+        (
+            "tests/test_boundaries.py::test_equal_bounds_pass",
+            "tests/test_engine.py::TestRunPolicy::test_worked_totals",
+        ),
     ),
 }
 
