@@ -34,24 +34,24 @@ __all__ = [
 _GRID_POINTS = 1024
 _SHAPE_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
+_POSITIVE = {"above": 0.0}
 
 
-def _require_params(params: Mapping[str, float], *names: str) -> list[float]:
+def _require_params(params: Mapping[str, float], **bounds: dict) -> list[float]:
+    """The curve's parameters in order as floats; bounds maps each name to its finite_number range keywords."""
     if not isinstance(params, Mapping):
-        raise ValueError(f"curve params must be an object with keys {list(names)}, got {params!r}")
-    extra = set(params) - set(names)
+        raise ValueError(f"curve params must be an object with keys {list(bounds)}, got {params!r}")
+    extra = set(params) - set(bounds)
     if extra:
-        raise ValueError(f"unexpected curve parameters {sorted(extra)}; expected {list(names)}")
+        raise ValueError(f"unexpected curve parameters {sorted(extra)}; expected {list(bounds)}")
     try:
-        return [finite_number(params[name], f"curve parameter {name!r}") for name in names]
+        return [finite_number(params[name], f"curve parameter {name!r}", **keywords) for name, keywords in bounds.items()]
     except KeyError as exc:
-        raise ValueError(f"missing curve parameter {exc.args[0]!r}; expected {list(names)}") from exc
+        raise ValueError(f"missing curve parameter {exc.args[0]!r}; expected {list(bounds)}") from exc
 
 
 def _build_linear(params):
-    intercept, slope = _require_params(params, "intercept", "slope")
-    if slope < 0.0:
-        raise ValueError("linear slope must be >= 0")
+    intercept, slope = _require_params(params, intercept={}, slope={"lo": 0.0})
     if slope == 0.0:
         raise ValueError("flat linear curve; use the constant family instead")
     return (lambda x: intercept + slope * x), (lambda x: slope)
@@ -60,9 +60,7 @@ def _build_linear(params):
 def _build_shifted_power(params):
     # limit - scale * (x + shift)^(-power); the shift keeps the value and
     # slope finite at x = 0, unlike a raw power law
-    limit, scale, shift, power = _require_params(params, "limit", "scale", "shift", "power")
-    if scale <= 0.0 or shift <= 0.0 or power <= 0.0:
-        raise ValueError("shifted-power needs positive scale, shift, and power")
+    limit, scale, shift, power = _require_params(params, limit={}, scale=_POSITIVE, shift=_POSITIVE, power=_POSITIVE)
     return (
         lambda x: limit - scale * (x + shift) ** (-power),
         lambda x: scale * power * (x + shift) ** (-power - 1.0),
@@ -70,9 +68,7 @@ def _build_shifted_power(params):
 
 
 def _build_exponential_saturation(params):
-    limit, scale, rate = _require_params(params, "limit", "scale", "rate")
-    if scale <= 0.0 or rate <= 0.0:
-        raise ValueError("exponential-saturation needs positive scale and rate")
+    limit, scale, rate = _require_params(params, limit={}, scale=_POSITIVE, rate=_POSITIVE)
     return (
         lambda x: limit - scale * np.exp(-rate * x),
         lambda x: scale * rate * np.exp(-rate * x),
@@ -80,9 +76,7 @@ def _build_exponential_saturation(params):
 
 
 def _build_shifted_log(params):
-    scale, shift, offset = _require_params(params, "scale", "shift", "offset")
-    if scale <= 0.0 or shift <= 0.0:
-        raise ValueError("shifted-log needs positive scale and shift")
+    scale, shift, offset = _require_params(params, scale=_POSITIVE, shift=_POSITIVE, offset={})
     return (
         lambda x: scale * np.log(x + shift) + offset,
         lambda x: scale / (x + shift),
@@ -90,7 +84,7 @@ def _build_shifted_log(params):
 
 
 def _build_constant(params):
-    (value,) = _require_params(params, "value")
+    (value,) = _require_params(params, value={})
     return (lambda x: value + 0.0 * x), (lambda x: 0.0)
 
 
@@ -161,9 +155,7 @@ def make_model(
     """
     if not isinstance(family, str) or family not in _BUILDERS:
         raise ValueError(f"unknown curve family {family!r}; known: {list(_BUILDERS)}")
-    domain_max = finite_number(domain_max, "domain_max")
-    if domain_max < 0.0:
-        raise ValueError("domain_max must be >= 0")
+    domain_max = finite_number(domain_max, "domain_max", lo=0.0)
     fn, dfn = _BUILDERS[family](params)
 
     f0 = float(fn(0.0))
@@ -184,9 +176,7 @@ def make_model(
     if L_override is None:
         L = end_slope
     else:
-        L = finite_number(L_override, "L")
-        if L < 0.0:
-            raise ValueError(f"L must be finite and >= 0, got {L}")
+        L = finite_number(L_override, "L", lo=0.0)
         if L == 0.0 and end_slope != 0.0:
             raise ValueError("L must be positive for a rising curve")
         if L > end_slope + _SHAPE_TOL:

@@ -431,7 +431,8 @@ def nonconvexity_witness(
     and stops once both signs are found; a search that finds no witness
     visits grid_points**5 points.
     """
-    if not 0.0 < y_lo < y_hi:
+    y_lo, y_hi = finite_number(y_lo, "y_lo", above=0.0), finite_number(y_hi, "y_hi")
+    if not y_lo < y_hi:
         raise ValueError("need 0 < y_lo < y_hi")
     grid_points = integer(grid_points, "grid_points", 2)
     xs = np.linspace(0.0, model.domain_max, grid_points)
@@ -472,7 +473,8 @@ def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None)
     """Read a trace from CSV (header t,d,c); bounds default to the observed range."""
     slots: list[list[float]] = []
     for expected_t, (line, row) in enumerate(read_csv(path, "trace", "t,d,c", "t, d and c"), 1):
-        t, *slot = (finite_number(row[key], f"{line} {key}", text=True) for key in "tdc")
+        t = integer(row["t"], f"{line} t", 1, text=True)
+        slot = [finite_number(row[key], f"{line} {key}", text=True) for key in "dc"]
         if t != expected_t:
             raise ValueError(f"{line} t must be {expected_t} (slots run 1..T), got {row['t']!r}")
         slots.append(slot)

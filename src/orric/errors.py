@@ -1,5 +1,6 @@
 """Shared exception types, and the one rule for each input from outside the program: a JSON file, a CSV
-file, a number (finite_number), an integer (integer) and a pair of declared volume bounds (volume_bounds)."""
+file, a number, with its sign or range when it has one (finite_number), an integer (integer) and a pair
+of declared volume bounds (volume_bounds). No other module tests a scalar input's sign, range or finiteness."""
 
 import csv
 import json
@@ -14,19 +15,27 @@ class InfeasibleError(Exception):
     """No decision can satisfy the per-slot compute budget."""
 
 
-def finite_number(value, name: str, text: bool = False) -> float:
-    """value as a float when it is a finite number, else a ValueError that names the field.
+def finite_number(value, name: str, lo=None, hi=None, text: bool = False, above=None) -> float:
+    """value as a float when it is a finite number in range, else a ValueError that names the field.
 
     A number is a real (an int, a float, a numpy scalar), never a bool, NaN or an infinity. A str is
     one only in a text format, a CSV cell or a flag (text=True), as float() reads it; in JSON it is not.
+    The range is lo <= value <= hi, each closed bound skipped when None, and value > above, the open
+    lower bound of a positive quantity, when above is given.
     """
     try:
         number = float(value) if text and isinstance(value, str) else value
-        if isinstance(number, Real) and not isinstance(number, bool) and math.isfinite(number):
-            return float(number)
+        ok = isinstance(number, Real) and not isinstance(number, bool) and math.isfinite(number)
     except (ValueError, OverflowError):  # text that float() cannot read; an int past the float range
-        pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    number = float(number)
+    outside = (above is not None and not number > above) or (lo is not None and number < lo)
+    if outside or (hi is not None and number > hi):
+        bound = " and ".join(f"{op} {b:g}" for op, b in ((">", above), (">=", lo), ("<=", hi)) if b is not None)
+        raise ValueError(f"{name} must be {bound}, got {number!r}")
+    return number
 
 
 def integer(value, name: str, lo: int, hi: int | None = None, text: bool = False) -> int:

@@ -74,12 +74,11 @@ def weight_schedule(
     overestimate intercept so the two prices stay comparable. lam is the
     per-slot regularizer value, kept for diagnostics only. Each tail is
     the correctly rounded sum of its 1/tau terms, the value math.fsum
-    returns. d_min, d_max and a_min_infer must be finite.
+    returns. d_min and d_max must be finite, and a_min_infer finite and positive.
     """
     horizon = integer(horizon, "horizon", 1)
     d_min, d_max = volume_bounds(d_min, d_max)
-    if finite_number(a_min_infer, "a_min_infer") <= 0.0:
-        raise ValueError("a_min_infer must be positive")
+    a_min_infer = finite_number(a_min_infer, "a_min_infer", above=0.0)
     # For 1 <= t < horizon, the double 1/t is at least 2^-bit_length(horizon) and has
     # a 53-bit significand, so it is a whole number of units 2^-scale. Each tail is
     # then an exact integer in those units, and int / int true division rounds it
@@ -182,8 +181,7 @@ def table_decisions(
 def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> Decision:
     """The table rule's decision for slot t of unit volume with per-sample budget u."""
     t = integer(t, "slot t", 1, integer(horizon, "horizon", 1))
-    if not math.isfinite(u):
-        raise ValueError(f"per-sample budget u must be finite, got {u!r}")
+    u = finite_number(u, "per-sample budget u")
     jbest = fit_table([1.0], [u], profiles)
     (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles, schedule).tolist()
     return Decision(*row)
@@ -195,13 +193,7 @@ def orric_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
     A one-slot fit table read by the orric rule of table_decisions: ties
     keep the lowest retraining index. v must be finite and >= 0, w finite and positive.
     """
-    for name, value in (("v", v), ("w", w)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if v < 0.0:
-        raise ValueError("v must be >= 0")
-    if w <= 0.0:
-        raise ValueError("w must be positive")
+    v, w = finite_number(v, "v", lo=0.0), finite_number(w, "w", above=0.0)
     return _one_slot(ORRIC, 1, 1, u, profiles, (np.array([v]), np.array([w]), None))
 
 

@@ -13,7 +13,6 @@ they are only ever compared, never converted.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -40,38 +39,34 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class RetrainConfig:
-    """One retraining operating point: accuracy gain bought at a per-sample cost."""
+    """One retraining operating point: accuracy gain bought at a per-sample cost, each stored as a float."""
 
     gain: float
     cost: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gain <= 1.0 + _TOL:
-            raise ValueError(f"retraining gain must lie in [0, 1], got {self.gain}")
-        if not 0.0 <= self.cost < math.inf:
-            raise ValueError(f"retraining cost must be finite and >= 0, got {self.cost}")
+        object.__setattr__(self, "gain", finite_number(self.gain, "retraining gain", 0.0, 1.0 + _TOL))
+        object.__setattr__(self, "cost", finite_number(self.cost, "retraining cost", 0.0))
 
 
 @dataclass(frozen=True)
 class InferConfig:
-    """One inference operating point: profit (accuracy) bought at a per-sample cost."""
+    """One inference operating point: profit (accuracy) bought at a per-sample cost, each stored as a float."""
 
     profit: float
     cost: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.profit < math.inf:
-            raise ValueError(f"inference profit must be finite and positive, got {self.profit}")
-        if not 0.0 < self.cost < math.inf:
-            raise ValueError(f"inference cost must be finite and positive, got {self.cost}")
+        object.__setattr__(self, "profit", finite_number(self.profit, "inference profit", above=0.0))
+        object.__setattr__(self, "cost", finite_number(self.cost, "inference cost", above=0.0))
 
 
 def _coerce(entry, cls):
-    # accept ready-made configs or bare (payoff, cost) pairs
+    # accept ready-made configs or bare (payoff, cost) pairs, which the config's own rule reads
     if isinstance(entry, cls):
         return entry
     payoff, cost = entry
-    return cls(float(payoff), float(cost))
+    return cls(payoff, cost)
 
 
 def _check_strictly_monotone(pairs: Sequence[tuple[float, float]], label: str) -> None:
@@ -212,11 +207,9 @@ def prune_dominated(
 
 def normalize_profits(raw_accuracies: Iterable[float]) -> list[float]:
     """Scale raw accuracies so the best one becomes 1.0."""
-    values = [float(a) for a in raw_accuracies]
+    values = [finite_number(a, "accuracy", above=0.0) for a in raw_accuracies]
     if not values:
         raise ValueError("no accuracies to normalize")
-    if min(values) <= 0.0:
-        raise ValueError("accuracies must be positive")
     top = max(values)
     return [a / top for a in values]
 

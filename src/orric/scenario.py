@@ -79,6 +79,15 @@ class TraceSpec:
         if self.c_law not in C_LAWS:
             raise ValueError(f"unknown c_law {self.c_law!r}; known: {list(C_LAWS)}")
         volume_bounds(self.d_lo, self.d_lo if self.d_hi is None else self.d_hi)  # its traces' declared bounds
+        for name in ("c_lo", "c_hi"):
+            if getattr(self, name) is not None:
+                finite_number(getattr(self, name), name, lo=0.0)
+        if self.c_law == "constant" and self.c_lo is None:
+            raise ValueError("c_law 'constant' needs c_lo")
+        if self.c_law == "uniform" and None in (self.c_lo, self.c_hi):
+            raise ValueError("c_law 'uniform' needs c_lo and c_hi")
+        if self.c_law == "uniform" and self.c_hi < self.c_lo:
+            raise ValueError("c_hi must be >= c_lo")
 
 
 def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace:
@@ -103,14 +112,8 @@ def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace
         per_sample = profiles.top_pair_cost if spec.c_law == "sufficient" else profiles.min_infer_cost
         c = d * per_sample
     elif spec.c_law == "constant":
-        if spec.c_lo is None:
-            raise ValueError("c_law 'constant' needs c_lo")
         c = np.full(horizon, spec.c_lo)
     else:
-        if spec.c_lo is None or spec.c_hi is None:
-            raise ValueError("c_law 'uniform' needs c_lo and c_hi")
-        if spec.c_hi < spec.c_lo:
-            raise ValueError("c_hi must be >= c_lo")
         c = rng.uniform(spec.c_lo, spec.c_hi, horizon)
 
     trace = Trace(d=tuple(d), c=tuple(c), d_min=spec.d_lo, d_max=d_hi)
@@ -144,27 +147,21 @@ class ReplaySpec:
 
     def __post_init__(self) -> None:
         try:
-            ratios = tuple(finite_number(r, "sampling_ratios entry") for r in self.sampling_ratios)
-        except (TypeError, ValueError):
+            entries = list(enumerate(self.sampling_ratios, 1))
+        except TypeError:
             raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}") from None
+        ratios = tuple(finite_number(r, f"sampling_ratios entry {k}", lo=0.0) for k, r in entries)
         object.__setattr__(self, "sampling_ratios", ratios)
-        for name in ("train_cost_multiplier", "L", "data_per_slot"):
-            finite_number(getattr(self, name), name)
+        if not ratios or max(ratios) <= 0.0:
+            raise ValueError("sampling_ratios needs at least one positive entry")
+        finite_number(self.train_cost_multiplier, "train_cost_multiplier", above=0.0)
+        integer(self.epochs_per_slot, "epochs_per_slot", 1)
         if self.f_at_max is not None:  # None picks the corruption's default
             finite_number(self.f_at_max, "f_at_max")
-        if not self.sampling_ratios or max(self.sampling_ratios) <= 0.0:
-            raise ValueError("sampling_ratios needs at least one positive entry")
-        if min(self.sampling_ratios) < 0.0:
-            raise ValueError("sampling_ratios must be >= 0")
-        if self.train_cost_multiplier <= 0.0:
-            raise ValueError("train_cost_multiplier must be positive")
-        integer(self.epochs_per_slot, "epochs_per_slot", 1)
-        if self.L < 0.0:
-            raise ValueError("L must be >= 0")
+        finite_number(self.L, "L", lo=0.0)
         integer(self.horizon, "horizon", 1)
+        finite_number(self.data_per_slot, "data_per_slot", above=0.0)
         integer(self.seed, "seed", 0, SEED_MAX)
-        if self.data_per_slot <= 0.0:
-            raise ValueError("data_per_slot must be positive")
 
 
 @lru_cache(maxsize=1)

@@ -117,11 +117,11 @@ class TestShapeValidation:
         with pytest.raises(ValueError):
             make_model("linear", {"intercept": 0.5, "slope": -0.1}, 1.0)
         for scale in (0.0, -1.0):
-            with pytest.raises(ValueError, match="^shifted-log needs positive scale and shift$"):
+            with pytest.raises(ValueError, match=f"^curve parameter 'scale' must be > 0, got {scale}$"):
                 make_model("shifted-log", {"scale": scale, "shift": 1.0, "offset": 0.5}, 1.0)
 
     def test_negative_domain_rejected(self):
-        with pytest.raises(ValueError, match="^domain_max must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^domain_max must be >= 0, got -1\.0$"):
             make_model("linear", {"intercept": 0.5, "slope": 0.3}, -1.0)
 
     def test_overflowing_curve_rejected(self):

@@ -1,19 +1,23 @@
-"""Every entry point that takes an integer or a pair of declared volume bounds refuses a misfit with
-its rule's message: errors.integer for integers, errors.volume_bounds for (d_min, d_max)."""
+"""Every entry point that takes an integer, a signed or ranged number or a pair of declared volume bounds
+refuses a misfit with its rule's message: errors.integer for integers, errors.finite_number for numbers
+and errors.volume_bounds for (d_min, d_max)."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from orric import (
     INFERENCE_GREEDY,
+    InferConfig,
     ProfileSet,
     ReplaySpec,
+    RetrainConfig,
     Trace,
     TraceSpec,
     compute_bounds,
@@ -21,6 +25,9 @@ from orric import (
     heuristic_step,
     make_model,
     nonconvexity_witness,
+    normalize_profits,
+    orric_step,
+    prune_dominated,
     save_model,
     save_profiles,
     write_trace_csv,
@@ -50,6 +57,67 @@ INTEGER_ENTRIES = {
     "heuristic_step.horizon": (
         lambda v: heuristic_step(INFERENCE_GREEDY, 1, v, 12.0, PROFILES), "horizon", 1, None),
 }
+
+CURVES = {
+    "linear": {"intercept": 0.5, "slope": 0.3},
+    "shifted-power": {"limit": 0.9, "scale": 0.5, "shift": 1.0, "power": 1.0},
+    "exponential-saturation": {"limit": 0.8, "scale": 0.3, "rate": 2.0},
+    "shifted-log": {"scale": 0.1, "shift": 1.0, "offset": 0.5},
+}
+
+
+def curve_with(family: str, name: str):
+    """A call that builds the family's curve with the named parameter set to its argument."""
+    return lambda v: make_model(family, {**CURVES[family], name: v}, 1.0)
+
+
+def drift_free(**kwargs):
+    with warnings.catch_warnings():  # a constant curve's zero end slope warns
+        warnings.simplefilter("ignore", UserWarning)
+        return make_model("constant", {"value": 0.7}, 1.0, **kwargs)
+
+
+# a range and the values just outside it: 0 for an open bound, a negative number for a closed one
+POSITIVE = ("> 0", [0, 0.0, -1.0])
+NON_NEGATIVE = (">= 0", [-1.0, -5e-324])
+ANY = (None, [])
+# entry point: (call with the value, the field's name, (the rule's bound text, values just outside it))
+NUMBER_ENTRIES = {
+    "linear.slope": (curve_with("linear", "slope"), "curve parameter 'slope'", NON_NEGATIVE),
+    **{f"{family}.{name}": (curve_with(family, name), f"curve parameter {name!r}", POSITIVE)
+       for family, names in [("shifted-power", ("scale", "shift", "power")),
+                             ("exponential-saturation", ("scale", "rate")), ("shifted-log", ("scale", "shift"))]
+       for name in names},
+    "make_model.domain_max": (lambda v: make_model("linear", CURVES["linear"], v), "domain_max", NON_NEGATIVE),
+    "make_model.L": (lambda v: drift_free(L_override=v), "L", NON_NEGATIVE),
+    "RetrainConfig.gain": (lambda v: RetrainConfig(v, 1.0), "retraining gain", (">= 0 and <= 1", [-1.0, 1.5])),
+    "RetrainConfig.cost": (lambda v: RetrainConfig(0.5, v), "retraining cost", NON_NEGATIVE),
+    "InferConfig.profit": (lambda v: InferConfig(v, 1.0), "inference profit", POSITIVE),
+    "InferConfig.cost": (lambda v: InferConfig(0.5, v), "inference cost", POSITIVE),
+    "prune_dominated.gain": (lambda v: prune_dominated([(v, 2.0)], [(1.0, 1.0)]), "retraining gain",
+                             (">= 0 and <= 1", [-1.0, 1.5])),
+    "ProfileSet.profit": (lambda v: ProfileSet([(0.0, 0.0)], [(v, 1.0)]), "inference profit", POSITIVE),
+    "normalize_profits": (lambda v: normalize_profits([v, 1.0]), "accuracy", POSITIVE),
+    "ReplaySpec.sampling_ratios": (lambda v: ReplaySpec("fog", sampling_ratios=(v, 1.0)), "sampling_ratios entry 1",
+                                   NON_NEGATIVE),
+    "ReplaySpec.train_cost_multiplier": (lambda v: ReplaySpec("fog", train_cost_multiplier=v),
+                                         "train_cost_multiplier", POSITIVE),
+    "ReplaySpec.L": (lambda v: ReplaySpec("fog", L=v), "L", NON_NEGATIVE),
+    "ReplaySpec.data_per_slot": (lambda v: ReplaySpec("fog", data_per_slot=v), "data_per_slot", POSITIVE),
+    "TraceSpec.c_lo": (lambda v: TraceSpec(horizon=2, c_law="uniform", c_lo=v, c_hi=5.0), "c_lo", NON_NEGATIVE),
+    "TraceSpec.c_hi": (lambda v: TraceSpec(horizon=2, c_law="uniform", c_lo=0.0, c_hi=v), "c_hi", NON_NEGATIVE),
+    "weight_schedule.a_min_infer": (lambda v: weight_schedule(4, MODEL, 1.0, 1.0, v), "a_min_infer", POSITIVE),
+    "orric_step.v": (lambda v: orric_step(v, 1.0, 12.0, PROFILES), "v", NON_NEGATIVE),
+    "orric_step.w": (lambda v: orric_step(0.5, v, 12.0, PROFILES), "w", POSITIVE),
+    "orric_step.u": (lambda v: orric_step(0.5, 1.0, v, PROFILES), "per-sample budget u", ANY),
+    "heuristic_step.u": (lambda v: heuristic_step(INFERENCE_GREEDY, 1, 4, v, PROFILES), "per-sample budget u", ANY),
+    "nonconvexity_witness.y_lo": (lambda v: nonconvexity_witness(MODEL, v, 2.0, grid_points=2), "y_lo", POSITIVE),
+    "nonconvexity_witness.y_hi": (lambda v: nonconvexity_witness(MODEL, 0.5, v, grid_points=2), "y_hi", ANY),
+}
+# each closed bound's own value passes the rule: 0 and -0.0 where lo = 0, and a retraining gain of 1
+BOUNDARY_VALUES = [(entry, value) for entry, (_, _, (bound, _)) in NUMBER_ENTRIES.items()
+                   if bound and bound.startswith(">= 0") for value in (0, 0.0, -0.0)]
+BOUNDARY_VALUES += [("RetrainConfig.gain", 1), ("RetrainConfig.gain", 1.0), ("prune_dominated.gain", 1.0)]
 
 # (command, flag): (lo, hi); argparse prefixes the rule's message, whose field is the flag's value
 CLI_INTEGER_FLAGS = {
@@ -104,7 +172,44 @@ MOTIVATION = {
                                       "horizon must be an integer >= 1, got 2.5"),
     "witness-float-grid": (lambda: nonconvexity_witness(MODEL, 0.5, 1.0, grid_points=2.5),
                            "grid_points must be an integer >= 2, got 2.5"),
+    "InferConfig-bools": (lambda: InferConfig(True, True), "inference profit must be a finite number, got True"),
+    "ProfileSet-text-pair": (lambda: ProfileSet(retrain=[(0, 0), ("1", "2")], infer=[(1.0, 1.0)]),
+                             "retraining gain must be a finite number, got '1'"),
+    "normalize_profits-nan": (lambda: normalize_profits([math.nan, 1.0]), "accuracy must be a finite number, got nan"),
+    "orric_step-bool-v": (lambda: orric_step(True, 1.0, 12.0, PROFILES), "v must be a finite number, got True"),
+    "witness-bool-y_lo": (lambda: nonconvexity_witness(MODEL, True, 2.0), "y_lo must be a finite number, got True"),
+    "witness-infinite-y_hi": (lambda: nonconvexity_witness(MODEL, 0.5, math.inf),
+                              "y_hi must be a finite number, got inf"),
+    "witness-text-y_lo": (lambda: nonconvexity_witness(MODEL, "0.5", 2.0), "y_lo must be a finite number, got '0.5'"),
+    "TraceSpec-nan-c_lo": (lambda: TraceSpec(horizon=2, c_law="uniform", c_lo=math.nan, c_hi=5),
+                           "c_lo must be a finite number, got nan"),
+    # a bad capacity law fails where the spec is made, not when a trace is drawn
+    "TraceSpec-constant-without-c_lo": (lambda: TraceSpec(horizon=2, c_law="constant"),
+                                        "c_law 'constant' needs c_lo"),
+    "TraceSpec-uniform-without-c_hi": (lambda: TraceSpec(horizon=2, c_law="uniform", c_lo=1.0),
+                                       "c_law 'uniform' needs c_lo and c_hi"),
+    "TraceSpec-uniform-falling": (lambda: TraceSpec(horizon=2, c_law="uniform", c_lo=5.0, c_hi=1.0),
+                                  "c_hi must be >= c_lo"),
 }
+
+# (command, flags): the refusal; each flag's value reaches an entry point's number rule
+CLI_NUMBERS = {
+    ("witness", "--y-lo=0"): "y_lo must be > 0, got 0.0",
+    ("gen-trace", "--law=uniform", "--c=-1", "--c-hi=5"): "c_lo must be >= 0, got -1.0",
+    ("gen-trace", "--law=uniform", "--c=1"): "c_law 'uniform' needs c_lo and c_hi",
+}
+
+
+def number_misfits(outside: list) -> list:
+    """A bool, a string, NaN and the infinities, then the values just outside the range."""
+    return [True, False, "0.5", math.nan, math.inf, -math.inf, *outside]
+
+
+def number_message(name: str, bound: str | None, value) -> str:
+    """The number rule's message: a finite number outside its bound is out of range, anything else no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        return f"{name} must be a finite number, got {value!r}"
+    return f"{name} must be {bound}, got {float(value)!r}"
 
 
 def integer_message(name: str, lo: int, hi: int | None, value, text: bool = False) -> str:
@@ -165,6 +270,9 @@ def boundary_cases():
     for entry, call in BOUND_ENTRIES.items():
         for lo, hi, message in BAD_BOUNDS:
             yield pytest.param(raised(call, lo, hi), message, id=f"{entry}({lo!r}, {hi!r})")
+    for entry, (call, name, (bound, outside)) in NUMBER_ENTRIES.items():
+        for value in number_misfits(outside):
+            yield pytest.param(raised(call, value), number_message(name, bound, value), id=f"{entry}={value!r}")
     for (command, flag), (lo, hi) in CLI_INTEGER_FLAGS.items():
         for text in [str(value) for value in integer_misfits(lo, hi) if value != "3"]:
             # one token, so that argparse reads "-inf" as the flag's value, not as another flag
@@ -174,6 +282,8 @@ def boundary_cases():
         for lo, hi in [("0", "1"), ("-1", "1"), ("2", "1")]:
             yield pytest.param(cli_error(command, "--d-min", lo, "--d-max", hi), NEED.format(float(lo), float(hi)),
                                id=f"{command} --d-min {lo} --d-max {hi}")
+    for (command, *flags), message in CLI_NUMBERS.items():
+        yield pytest.param(cli_error(command, *flags), message, id=" ".join((command, *flags)))
     for name, (call, message) in MOTIVATION.items():
         yield pytest.param(raised(call), message, id=f"motivation-{name}")
 
@@ -198,6 +308,16 @@ def test_equal_bounds_pass(entry, lo, hi):
     # d_min == d_max is the declared range of every constant trace
     BOUND_ENTRIES[entry](lo, hi)
     assert volume_bounds(lo, hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("entry, value", BOUNDARY_VALUES, ids=str)
+def test_closed_bounds_pass(entry, value):
+    call = NUMBER_ENTRIES[entry][0]
+    if entry == "linear.slope":  # the rule passes a flat slope, and the relational check after it redirects
+        with pytest.raises(ValueError, match="^flat linear curve; use the constant family instead$"):
+            call(value)
+    else:
+        call(value)
 
 
 def test_rules_return_plain_numbers():

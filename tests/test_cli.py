@@ -483,11 +483,15 @@ def outside_number_cases():
     for value in ("abc", "nan", "1e400"):
         for reader, where, field in NUMBERS_IN_TEXT:
             row, column = where
-            yield pytest.param(reader, where, value, f"{field} must be a finite number, got {value!r}",
+            rule = "an integer >= 1" if field.endswith(" t") else "a finite number"  # a slot number is an integer
+            yield pytest.param(reader, where, value, f"{field} must be {rule}, got {value!r}",
                                id=f"{reader}-line{row + 1}-{NUMBER_TEXT[reader][0][column]}-{value}")
         for flag in FLOAT_FLAGS:
             yield pytest.param("flag", flag, value, f"argument {flag}: value must be a finite number, got {value!r}",
                                id=f"flag{flag}-{value}")
+    for value in ("2.0", "2e0"):  # numbers, but no slot number
+        yield pytest.param("trace-csv", (2, 0), value, f"trace CSV line 3 t must be an integer >= 1, got {value!r}",
+                           id=f"trace-csv-line3-t-{value}")
 
 
 def reader_command(reader, path, tmp_path, worked_files) -> list[str]:
@@ -780,9 +784,10 @@ class TestReplayCommand:
 
     @pytest.mark.parametrize("field, value, message", [
         ("sampling_ratios", 0.5, "sampling_ratios must be a list of finite numbers, got 0.5"),
-        ("sampling_ratios", [0.0, float("nan")], "sampling_ratios must be a list of finite numbers"),
-        ("sampling_ratios", [0.0, True], "sampling_ratios must be a list of finite numbers, got [0.0, True]"),
-        ("sampling_ratios", [0.0, "0.5"], "sampling_ratios must be a list of finite numbers, got [0.0, '0.5']"),
+        ("sampling_ratios", [0.0, float("nan")], "sampling_ratios entry 2 must be a finite number, got nan"),
+        ("sampling_ratios", [0.0, True], "sampling_ratios entry 2 must be a finite number, got True"),
+        ("sampling_ratios", [0.0, "0.5"], "sampling_ratios entry 2 must be a finite number, got '0.5'"),
+        ("sampling_ratios", [0.0, -0.5], "sampling_ratios entry 2 must be >= 0, got -0.5"),
         ("horizon", 2.5, "horizon must be an integer >= 1, got 2.5"),
         ("horizon", "2", "horizon must be an integer >= 1, got '2'"),
         ("horizon", True, "horizon must be an integer >= 1, got True"),

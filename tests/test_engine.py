@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import gc
+import math
 import pickle
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -717,6 +719,19 @@ class TestWitness:
             report = nonconvexity_witness(flat, y_lo, y_hi, grid_points=grid)
             assert report == WitnessReport(positive=None, negative=None), (y_lo, y_hi, grid)
             assert report == reference_witness(flat, y_lo, y_hi, grid_points=grid)
+
+    @pytest.mark.parametrize("y_lo, y_hi, message", [
+        (0.5, math.inf, "y_hi must be a finite number, got inf"),
+        (0.5, math.nan, "y_hi must be a finite number, got nan"),
+        (0.0, 2.0, "y_lo must be > 0, got 0.0"),
+        ("0.5", 2.0, "y_lo must be a finite number, got '0.5'"),
+        (True, 2.0, "y_lo must be a finite number, got True"),
+        (1.0, 0.5, "need 0 < y_lo < y_hi"),
+    ])
+    def test_bounds_refused(self, worked_model, y_lo, y_hi, message):
+        # an infinite y_hi passes y_lo < y_hi, and the search then runs on NaN gaps and finds nothing
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nonconvexity_witness(worked_model, y_lo, y_hi, grid_points=3)
 
     def test_rising_curve_found_at_wide_y_ranges(self, worked_model):
         # the scaled tolerance still sees a real gap, which grows with y as the tolerance does

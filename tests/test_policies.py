@@ -135,11 +135,11 @@ class TestStepInputs:
     def test_non_finite_rejected(self, worked_profiles, field, value):
         # NaN passes every sign check, and a NaN or infinite price poisons a slot's scores
         inputs = {"v": 0.5, "w": 1.0, "u": 12.0, field: value}
-        message = "^per-sample budget u must be finite" if field == "u" else f"^{field} must be finite"
+        message = f"^{'per-sample budget u' if field == 'u' else field} must be a finite number, got {value}$"
         with pytest.raises(ValueError, match=message):
             orric_step(**inputs, profiles=worked_profiles)
         if field == "u":
-            with pytest.raises(ValueError, match="budget u must be finite"):
+            with pytest.raises(ValueError, match=message):
                 heuristic_step(INFERENCE_ONLY, 1, 2, value, worked_profiles)
 
 

@@ -92,6 +92,11 @@ class TestValidation:
         assert worked_profiles.retrain[1] == RetrainConfig(gain=1.0, cost=10.0)
         assert worked_profiles.infer[0] == InferConfig(profit=0.6, cost=2.0)
 
+    def test_configs_store_floats(self):
+        configs = (RetrainConfig(1, 10), InferConfig(np.float64(0.5), 2), ProfileSet([(0, 0)], [(1, 3)]).infer[0])
+        for config in configs:
+            assert {type(value) for value in vars(config).values()} == {float}, config
+
 
 class TestDerived:
     def test_worked_extrema(self, worked_profiles):

@@ -1,6 +1,6 @@
 """Names the benchmark tracer wraps must exist in the package and keep covering the work they time;
 the package's public names are its modules' __all__ lists, each name once; the mutation catalogue's
-snippets and tests must exist too; the integer and volume-bound rules are stated once."""
+snippets and tests must exist too; the integer, volume-bound and finite-number rules are stated once."""
 
 from __future__ import annotations
 
@@ -194,3 +194,33 @@ def test_integer_and_volume_bound_rules_are_stated_once():
     for path in sorted(errors.parent.glob("*.py")):
         if path != errors:
             assert not rule_statements(path), path.name
+
+
+# the two finiteness tests that errors.finite_number does not serve: a trace's columns, checked in one pass
+# rather than a call per element, and a curve's values computed on its validation grid
+ISFINITE_EXEMPT = {("engine.py", "Trace.__post_init__"), ("accuracy.py", "make_model")}
+
+
+def isfinite_sites(path: Path) -> set[str]:
+    """The qualified names of the functions in the module that name isfinite, as a call or a reference."""
+    sites = set()
+
+    def visit(node, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if "isfinite" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+            sites.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return sites
+
+
+def test_finite_number_rule_is_stated_once():
+    # a scalar input's finiteness is tested by errors.finite_number alone; every other module calls it
+    errors = ROOT / "src" / "orric" / "errors.py"
+    assert isfinite_sites(errors) == {"finite_number"}
+    found = {(path.name, site) for path in sorted(errors.parent.glob("*.py")) if path != errors
+             for site in isfinite_sites(path)}
+    assert found == ISFINITE_EXEMPT

@@ -46,18 +46,18 @@ CATALOGUE = {
             "tests/test_policies.py::TestOrricStep::test_tie_keeps_scan_order_first",
         ),
     ),
-    # a NaN price passes both sign checks and poisons every score of the slot
+    # a NaN price poisons every score of the slot
     "orric-step-finite-prices": Mutant(
         "src/orric/policies.py",
-        'for name, value in (("v", v), ("w", w)):',
-        "for name, value in ():",
+        'v, w = finite_number(v, "v", lo=0.0), finite_number(w, "w", above=0.0)',
+        "v, w = float(v), float(w)",
         ("tests/test_policies.py::TestStepInputs::test_non_finite_rejected",),
     ),
     # a NaN budget reads as infeasible, an infinite one fits every pair
     "one-slot-finite-budget": Mutant(
         "src/orric/policies.py",
-        "if not math.isfinite(u):",
-        "if False:",
+        'u = finite_number(u, "per-sample budget u")',
+        "u = float(u)",
         ("tests/test_policies.py::TestStepInputs::test_non_finite_rejected",),
     ),
     # x strays past domain_max by roundoff, and the clip is the curve's only guard
@@ -214,6 +214,37 @@ CATALOGUE = {
         (
             "tests/test_boundaries.py::test_equal_bounds_pass",
             "tests/test_engine.py::TestRunPolicy::test_worked_totals",
+        ),
+    ),
+    # an open bound refuses the bound itself: an inference profit or cost of 0 is no operating point
+    "number-open-bound-closed": Mutant(
+        "src/orric/errors.py",
+        "(above is not None and not number > above)",
+        "(above is not None and not number >= above)",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_profiles.py::TestValidation::test_infer_positive",
+        ),
+    ),
+    # without the range test every signed input passes on its finiteness alone
+    "number-range-unchecked": Mutant(
+        "src/orric/errors.py",
+        "if outside or (hi is not None and number > hi):",
+        "if False:",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_profiles.py::TestValidation::test_gain_range",
+            "tests/test_accuracy.py::TestShapeValidation::test_negative_domain_rejected",
+        ),
+    ),
+    # an infinite y_hi passes y_lo < y_hi, and the search then runs on NaN gaps
+    "witness-y-hi-unchecked": Mutant(
+        "src/orric/engine.py",
+        'finite_number(y_hi, "y_hi")',
+        "float(y_hi)",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_engine.py::TestWitness::test_bounds_refused",
         ),
     ),
 }
