@@ -166,14 +166,10 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
 
 
 def cmd_gen_trace(args) -> int:
-    c_lo = args.c
-    if args.law == "constant" and c_lo is None:
-        c_lo = args.d  # unit per-sample budget placeholder
+    c_lo = args.d if args.law == "constant" and args.c is None else args.c  # a unit per-sample budget
     spec = TraceSpec(horizon=args.T, d_law=args.d_law, d_lo=args.d, d_hi=args.d_hi,
                      c_law=args.law, c_lo=c_lo, c_hi=args.c_hi, seed=args.seed)
     profiles = load_profiles(args.profiles) if args.profiles else None
-    if profiles is None and spec.c_law in ("sufficient", "scarce"):
-        raise ValueError(f"capacity law {spec.c_law!r} needs --profiles")
     trace = generate_trace(spec, profiles)
     write_trace_csv(args.out, trace)
     print(f"wrote {args.out} ({trace.horizon} slots)")
@@ -224,10 +220,7 @@ def cmd_oracle(args) -> int:
 def cmd_bounds(args) -> int:
     profiles = load_profiles(args.profiles)
     model = load_model(args.model)
-    report = bounds_report(model, profiles, args.d_min, args.d_max, args.T)
-    if report["crossover_horizon"] is None:
-        report["crossover_horizon"] = "undefined"
-    text = _json_text(report)
+    text = _json_text(bounds_report(model, profiles, args.d_min, args.d_max, args.T))
     if args.out:
         write_atomic(args.out, text)
     print(text, end="")

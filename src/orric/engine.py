@@ -107,14 +107,14 @@ class Trace:
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         if not self.d or len(self.d) != len(self.c):
             raise ValueError("d and c must be non-empty and equal length")
-        if not all(map(math.isfinite, (*self.d, *self.c))):
-            raise ValueError("volumes and capacities must be finite")
         for name, bound in zip(("d_min", "d_max"), volume_bounds(self.d_min, self.d_max)):
             object.__setattr__(self, name, bound)
-        if min(self.d) < self.d_min or max(self.d) > self.d_max:
-            raise ValueError("data volume outside the declared [d_min, d_max] bounds")
-        if min(self.c) < 0.0:
-            raise ValueError("capacities must be >= 0")
+        # one comparison per value, false for NaN and the infinities; the first misfit is worded by the number rule
+        for name, column, lo, hi in (("volume", self.d, self.d_min, self.d_max), ("capacity", self.c, 0.0, None)):
+            top = np.finfo(float).max if hi is None else hi
+            for k, x in enumerate(column, 1):
+                if not lo <= x <= top:
+                    finite_number(x, f"slot {k} {name}", lo=lo, hi=hi)
 
     def __reduce__(self):
         return type(self), (self.d, self.c, self.d_min, self.d_max)

@@ -214,43 +214,46 @@ def normalize_profits(raw_accuracies: Iterable[float]) -> list[float]:
     return [a / top for a in values]
 
 
+_MENUS = {"retrain": (RetrainConfig, "gain"), "infer": (InferConfig, "profit")}  # config type, JSON payoff key
+
+
 def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
     """Read raw menus from a JSON or CSV file, without pruning.
 
     JSON: {"retrain": [{"gain": g, "cost": c}, ...], "infer": [{"profit": p, "cost": c}, ...]}
     CSV:  header "kind,gain_or_profit,cost" with kind in {retrain, infer}
+    A refused entry's message starts with where it sits: "retrain entry 2: " or "profile CSV line 3: ".
     """
-    path = Path(path)
+    menus = {kind: [] for kind in _MENUS}
+    for where, kind, payoff, cost in _menu_rows(Path(path)):
+        try:
+            menus[kind].append(_MENUS[kind][0](payoff, cost))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return menus["retrain"], menus["infer"]
+
+
+def _menu_rows(path: Path):
+    """Each entry of the menu file as a (where, kind, payoff, cost) row; a CSV cell is read as a number here."""
     if path.suffix.lower() == ".csv":
-        retrain, infer = [], []
         for line, row in read_csv(path, "profile", "kind,gain_or_profit,cost", "a kind and two numbers"):
             kind = row["kind"].strip()
-            payoff, cost = (finite_number(row[key], f"{line} {key}", text=True) for key in ("gain_or_profit", "cost"))
-            if kind == "retrain":
-                retrain.append(RetrainConfig(payoff, cost))
-            elif kind == "infer":
-                infer.append(InferConfig(payoff, cost))
-            else:
-                raise ValueError(f"unknown profile kind {kind!r}")
-    else:
-        data = read_json(path, "profile JSON")
-        if not isinstance(data, dict):
-            raise ValueError('profile JSON must be an object with "retrain" and "infer" lists')
-        retrain = _json_menu(data, "retrain", RetrainConfig, "gain")
-        infer = _json_menu(data, "infer", InferConfig, "profit")
-    return retrain, infer
-
-
-def _json_menu(data: dict, menu: str, cls, payoff: str) -> list:
-    entries = data.get(menu, [])
-    if not isinstance(entries, list):
-        raise ValueError(f'profile JSON "{menu}" must be a list')
-    configs = []
-    for k, entry in enumerate(entries, 1):
-        if not isinstance(entry, dict) or payoff not in entry or "cost" not in entry:
-            raise ValueError(f'{menu} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}')
-        configs.append(cls(*(finite_number(entry[key], f"{menu} entry {k} {key}") for key in (payoff, "cost"))))
-    return configs
+            payoff, cost = (finite_number(row[key], f"{line}: {key}", text=True) for key in ("gain_or_profit", "cost"))
+            if kind not in _MENUS:
+                raise ValueError(f"{line}: unknown profile kind {kind!r}")
+            yield line, kind, payoff, cost
+        return
+    data = read_json(path, "profile JSON")
+    if not isinstance(data, dict):
+        raise ValueError('profile JSON must be an object with "retrain" and "infer" lists')
+    for kind, (_, payoff) in _MENUS.items():
+        entries = data.get(kind, [])
+        if not isinstance(entries, list):
+            raise ValueError(f'profile JSON "{kind}" must be a list')
+        for k, entry in enumerate(entries, 1):
+            if not isinstance(entry, dict) or payoff not in entry or "cost" not in entry:
+                raise ValueError(f'{kind} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}')
+            yield f"{kind} entry {k}", kind, entry[payoff], entry["cost"]
 
 
 def load_profiles(path) -> ProfileSet:

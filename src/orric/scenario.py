@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 D_LAWS = ("constant", "uniform")
-C_LAWS = ("constant", "uniform", "sufficient", "scarce")
+# each capacity law and the capacity fields it takes: the menu laws derive C(t) from the menus and take none
+C_LAWS = {"constant": ("c_lo",), "uniform": ("c_lo", "c_hi"), "sufficient": (), "scarce": ()}
 # the trace generator's Philox key is a 128-bit unsigned integer
 SEED_MAX = 2**128 - 1
 
@@ -78,14 +79,17 @@ class TraceSpec:
             raise ValueError(f"unknown d_law {self.d_law!r}; known: {list(D_LAWS)}")
         if self.c_law not in C_LAWS:
             raise ValueError(f"unknown c_law {self.c_law!r}; known: {list(C_LAWS)}")
+        if self.d_law == "uniform" and self.d_hi is None:
+            raise ValueError("d_law 'uniform' needs d_hi")
         volume_bounds(self.d_lo, self.d_lo if self.d_hi is None else self.d_hi)  # its traces' declared bounds
-        for name in ("c_lo", "c_hi"):
-            if getattr(self, name) is not None:
-                finite_number(getattr(self, name), name, lo=0.0)
-        if self.c_law == "constant" and self.c_lo is None:
-            raise ValueError("c_law 'constant' needs c_lo")
-        if self.c_law == "uniform" and None in (self.c_lo, self.c_hi):
-            raise ValueError("c_law 'uniform' needs c_lo and c_hi")
+        takes = C_LAWS[self.c_law]
+        for name, value in (("c_lo", self.c_lo), ("c_hi", self.c_hi)):
+            if value is not None and name not in takes:
+                raise ValueError(f"c_law {self.c_law!r} takes no {name}")
+            if value is None and name in takes:
+                raise ValueError(f"c_law {self.c_law!r} needs {' and '.join(takes)}")
+            if value is not None:
+                finite_number(value, name, lo=0.0)
         if self.c_law == "uniform" and self.c_hi < self.c_lo:
             raise ValueError("c_hi must be >= c_lo")
 

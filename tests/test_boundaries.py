@@ -1,12 +1,15 @@
 """Every entry point that takes an integer, a signed or ranged number or a pair of declared volume bounds
 refuses a misfit with its rule's message: errors.integer for integers, errors.finite_number for numbers
-and errors.volume_bounds for (d_min, d_max)."""
+and errors.volume_bounds for (d_min, d_max). A menu entry or a trace slot is refused with where it sits,
+and a capacity law with a field it does not take."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -197,7 +200,71 @@ CLI_NUMBERS = {
     ("witness", "--y-lo=0"): "y_lo must be > 0, got 0.0",
     ("gen-trace", "--law=uniform", "--c=-1", "--c-hi=5"): "c_lo must be >= 0, got -1.0",
     ("gen-trace", "--law=uniform", "--c=1"): "c_law 'uniform' needs c_lo and c_hi",
+    ("run", "--d-min=2", "--d-max=3"): "slot 1 volume must be >= 2 and <= 3, got 1.0",
 }
+
+# each capacity law refuses a field it does not take, and uniform volumes need d_hi
+LAW_FIELDS = {
+    **{f"TraceSpec-{law}-{name}": (lambda law=law, name=name: TraceSpec(horizon=2, c_law=law, **{name: 5.0}),
+                                   f"c_law {law!r} takes no {name}")
+       for law in ("sufficient", "scarce") for name in ("c_lo", "c_hi")},
+    "TraceSpec-constant-c_hi": (lambda: TraceSpec(horizon=2, c_law="constant", c_lo=5.0, c_hi=5.0),
+                                "c_law 'constant' takes no c_hi"),
+    "TraceSpec-uniform-volumes-without-d_hi": (lambda: TraceSpec(horizon=2, d_law="uniform", d_lo=5.0),
+                                               "d_law 'uniform' needs d_hi"),
+}
+# flags added to a gen-trace command that gives menus and no capacity flag: the refusal
+GEN_TRACE_LAWS = {
+    ("--law=sufficient", "--c=5", "--c-hi=1"): "c_law 'sufficient' takes no c_lo",
+    ("--law=sufficient", "--c-hi=1"): "c_law 'sufficient' takes no c_hi",
+    ("--law=scarce", "--c=5"): "c_law 'scarce' takes no c_lo",
+    ("--law=scarce", "--c-hi=1"): "c_law 'scarce' takes no c_hi",
+    ("--law=constant", "--c=50", "--c-hi=1"): "c_law 'constant' takes no c_hi",
+    ("--law=constant", "--c-hi=1"): "c_law 'constant' takes no c_hi",
+    ("--d-law=uniform", "--d=5"): "d_law 'uniform' needs d_hi",
+}
+
+MENU_HEAD = "kind,gain_or_profit,cost\nretrain,0,0\n"
+# file name: (the command that reads it, its text, the refusal, which says where the misfit sits)
+LOCATED_FILES = {
+    "range.json": ("prune", json.dumps({"retrain": [{"gain": 0, "cost": 0}, {"gain": 1.5, "cost": 3}],
+                                        "infer": [{"profit": 1, "cost": 1}]}),
+                   "retrain entry 2: retraining gain must be >= 0 and <= 1, got 1.5"),
+    "text.json": ("prune", json.dumps({"retrain": [], "infer": [{"profit": "0.5", "cost": 1}]}),
+                  "infer entry 1: inference profit must be a finite number, got '0.5'"),
+    "range.csv": ("prune", MENU_HEAD + "infer,0,2\n", "profile CSV line 3: inference profit must be > 0, got 0.0"),
+    "text.csv": ("prune", MENU_HEAD + "infer,abc,2\n",
+                 "profile CSV line 3: gain_or_profit must be a finite number, got 'abc'"),
+    "kind.csv": ("prune", MENU_HEAD + "both,1,2\n", "profile CSV line 3: unknown profile kind 'both'"),
+    "negative.csv": ("run", "t,d,c\n1,1,12\n2,1,-1\n", "slot 2 capacity must be >= 0, got -1.0"),
+}
+
+# (column, slot, value): the refusal of a three-slot trace on the declared bounds [1, 2]
+TRACE_SLOTS = {
+    **{(column, 2, value): f"slot 2 {name} must be a finite number, got {value!r}"
+       for column, name in (("d", "volume"), ("c", "capacity")) for value in (math.nan, math.inf, -math.inf)},
+    ("c", 2, -1.0): "slot 2 capacity must be >= 0, got -1.0",
+    ("c", 3, -5e-324): "slot 3 capacity must be >= 0, got -5e-324",
+    **{("d", k, value): f"slot {k} volume must be >= 1 and <= 2, got {value!r}"
+       for k in (1, 3) for value in (0.5, 2.5)},
+}
+
+
+def trace_with(column: str, k: int, value):
+    """A call that builds a three-slot trace on the bounds [1, 2] with slot k's volume or capacity set to value."""
+    fields = {"d": [1.5, 1.5, 1.5], "c": [5.0, 5.0, 5.0]}
+    fields[column][k - 1] = value
+    return lambda: Trace(**fields, d_min=1.0, d_max=2.0)
+
+
+def file_error(name: str, command: str, text: str):
+    """A check that writes text to the file name and returns what command prints when it reads that file."""
+    flag = {"prune": "--profiles", "run": "--trace"}[command]
+
+    def refuse(files):
+        (files / name).write_text(text)
+        return cli_error(command, flag, str(files / name))(files)
+    return refuse
 
 
 def number_misfits(outside: list) -> list:
@@ -255,6 +322,8 @@ def command_argv(files, command: str) -> list[str]:
     profiles, model, trace, out = (str(files / name) for name in ("profiles.json", "model.json", "trace.csv", "out"))
     return {
         "gen-trace": ["gen-trace", "--T", "2", "--law", "constant", "--c", "2", "--out", out],
+        "gen-trace-menus": ["gen-trace", "--T", "2", "--profiles", profiles, "--out", out],
+        "prune": ["prune", "--profiles", profiles, "--out", out],
         "bounds": ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "1", "--T", "2"],
         "replay": ["replay", "fog", "--T", "2", "--out", out],
         "run": ["run", "--profiles", profiles, "--model", model, "--trace", trace, "--out", out],
@@ -284,8 +353,14 @@ def boundary_cases():
                                id=f"{command} --d-min {lo} --d-max {hi}")
     for (command, *flags), message in CLI_NUMBERS.items():
         yield pytest.param(cli_error(command, *flags), message, id=" ".join((command, *flags)))
-    for name, (call, message) in MOTIVATION.items():
+    for name, (call, message) in {**MOTIVATION, **LAW_FIELDS}.items():
         yield pytest.param(raised(call), message, id=f"motivation-{name}")
+    for flags, message in GEN_TRACE_LAWS.items():
+        yield pytest.param(cli_error("gen-trace-menus", *flags), message, id=" ".join(("gen-trace", *flags)))
+    for name, (command, text, message) in LOCATED_FILES.items():
+        yield pytest.param(file_error(name, command, text), message, id=f"{command} {name}")
+    for (column, k, value), message in TRACE_SLOTS.items():
+        yield pytest.param(raised(trace_with(column, k, value)), message, id=f"Trace.{column}[{k}]={value!r}")
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +393,16 @@ def test_closed_bounds_pass(entry, value):
             call(value)
     else:
         call(value)
+
+
+@pytest.mark.parametrize("d, c, bounds", [
+    ((2.0, 2.0), (-0.0, 0.0), (2.0, 2.0)),
+    ((1.0, 2.0), (1e308, sys.float_info.max), (1.0, 2.0)),
+], ids=["d_min == d_max, C = -0.0", "volumes on both bounds, C = 1e308 and the largest float"])
+def test_trace_closed_bounds_pass(d, c, bounds):
+    # each column's comparison is closed: a volume on a declared bound and a capacity of -0.0 are in range
+    trace = Trace(d, c, *bounds)
+    assert (trace.d, trace.c) == (d, c)
 
 
 def test_rules_return_plain_numbers():

@@ -71,7 +71,7 @@ class TestGenTrace:
     def test_menu_law_requires_profiles(self, tmp_path, capsys):
         rc = main(["gen-trace", "--T", "3", "--law", "scarce", "--out", str(tmp_path / "t.csv")])
         assert rc == 1
-        assert "profiles" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: c_law 'scarce' needs a profile set\n"
 
     def test_menu_law_with_profiles(self, tmp_path, worked_files):
         out = tmp_path / "trace.csv"
@@ -231,8 +231,11 @@ class TestRun:
         bounds = json.loads((out / "summary.json").read_text())["bounds"]["inputs"]
         assert (bounds["d_min"], bounds["d_max"]) == (lo, hi)
         capsys.readouterr()
-        assert main([*argv, "--d-min", repr(trace.d_min * 1.01)]) == 1
-        assert "outside the declared" in capsys.readouterr().err
+        declared = trace.d_min * 1.01
+        assert main([*argv, "--d-min", repr(declared)]) == 1
+        k, volume = next((k, volume) for k, volume in enumerate(trace.d, 1) if volume < declared)
+        assert capsys.readouterr().err == (f"error: slot {k} volume must be >= {declared:g} "
+                                           f"and <= {trace.d_max:g}, got {volume!r}\n")
 
     @pytest.mark.parametrize("extra", [["--T", "5"], ["--T", "50", "--law", "scarce", "--seed", "9"]],
                              ids=["T", "law"])
@@ -452,17 +455,17 @@ NUMBER_TEXT = {
 }
 # (reader, where the value goes, the field the error names)
 NUMBERS_IN_JSON = [
-    ("menu-json", ("retrain", 0, "gain"), "retrain entry 1 gain"),
-    ("menu-json", ("infer", 1, "profit"), "infer entry 2 profit"),
-    ("menu-json", ("infer", 0, "cost"), "infer entry 1 cost"),
+    ("menu-json", ("retrain", 0, "gain"), "retrain entry 1: retraining gain"),
+    ("menu-json", ("infer", 1, "profit"), "infer entry 2: inference profit"),
+    ("menu-json", ("infer", 0, "cost"), "infer entry 1: inference cost"),
     ("curve-json", ("domain_max",), "domain_max"),
     ("curve-json", ("L",), "L"),
     ("curve-json", ("params", "slope"), "curve parameter 'slope'"),
     *(("spec-json", (name,), name) for name in ("train_cost_multiplier", "L", "data_per_slot", "f_at_max")),
 ]
 NUMBERS_IN_TEXT = [
-    ("menu-csv", (1, 1), "profile CSV line 2 gain_or_profit"),
-    ("menu-csv", (2, 2), "profile CSV line 3 cost"),
+    ("menu-csv", (1, 1), "profile CSV line 2: gain_or_profit"),
+    ("menu-csv", (2, 2), "profile CSV line 3: cost"),
     ("trace-csv", (2, 0), "trace CSV line 3 t"),
     ("trace-csv", (2, 1), "trace CSV line 3 d"),
     ("trace-csv", (1, 2), "trace CSV line 2 c"),
@@ -732,7 +735,7 @@ class TestBounds:
                        "--d-min", "1", "--d-max", "1", "--T", "5"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["crossover_horizon"] == "undefined"
+        assert report["crossover_horizon"] is None
         assert report["alpha"] == 0.0
 
 

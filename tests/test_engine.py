@@ -42,6 +42,7 @@ from orric import (
 from orric.cli import _write_schedule_csv
 from orric.engine import WitnessReport, _fit_table, _kahan_cumsum, _schedule
 from orric.policies import KNOWLEDGE_DISTILLATION, POLICIES
+from orric.scenario import C_LAWS
 from conftest import (
     FAMILY_POOL,
     count_calls,
@@ -667,8 +668,9 @@ class TestBudgetBoundary:
         # constant and uniform budgets run from the cheapest inference at the largest volume to past the top pair
         lo, hi = 10.0 * ps.min_infer_cost, 12.0 * ps.top_pair_cost
         c_lo = float(rng.uniform(lo, hi))
+        capacity = {"c_lo": c_lo, "c_hi": float(rng.uniform(c_lo, hi))}
         spec = TraceSpec(horizon=horizon, d_law=d_law, d_lo=1.0, d_hi=10.0, c_law=c_law,
-                         c_lo=c_lo, c_hi=float(rng.uniform(c_lo, hi)), seed=seed)
+                         **{name: capacity[name] for name in C_LAWS[c_law]}, seed=seed)
         trace = generate_trace(spec, ps)
         oracle = offline_optimal(trace, ps, model)
         for result in (oracle, *(run_policy(policy, trace, ps, model) for policy in POLICIES)):

@@ -196,9 +196,8 @@ def test_integer_and_volume_bound_rules_are_stated_once():
             assert not rule_statements(path), path.name
 
 
-# the two finiteness tests that errors.finite_number does not serve: a trace's columns, checked in one pass
-# rather than a call per element, and a curve's values computed on its validation grid
-ISFINITE_EXEMPT = {("engine.py", "Trace.__post_init__"), ("accuracy.py", "make_model")}
+# the one finiteness test that errors.finite_number does not serve: a curve's values computed on its validation grid
+ISFINITE_EXEMPT = {("accuracy.py", "make_model")}
 
 
 def isfinite_sites(path: Path) -> set[str]:

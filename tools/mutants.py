@@ -247,6 +247,35 @@ CATALOGUE = {
             "tests/test_engine.py::TestWitness::test_bounds_refused",
         ),
     ),
+    # the column pass must send every misfit to the number rule: without its upper comparison a volume
+    # above d_max and an infinite capacity pass
+    "trace-columns-no-upper": Mutant(
+        "src/orric/engine.py",
+        "if not lo <= x <= top:",
+        "if not lo <= x:",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_engine.py::TestTrace::test_validation",
+            "tests/test_engine.py::TestTrace::test_non_finite_rejected",
+        ),
+    ),
+    # a capacity field the law does not take must be refused, not silently ignored
+    "law-takes-any-field": Mutant(
+        "src/orric/scenario.py",
+        "if value is not None and name not in takes:",
+        "if False:",
+        ("tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",),
+    ),
+    # a menu entry's refusal must say which entry it is
+    "menu-refusal-unlocated": Mutant(
+        "src/orric/profiles.py",
+        'raise ValueError(f"{where}: {exc}") from None',
+        "raise",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_cli.py::test_outside_number_refused",
+        ),
+    ),
 }
 
 
