@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import finite_number, read_json
+from .errors import finite_number, json_object, read_json
 
 __all__ = [
     "FAMILIES",
@@ -39,15 +39,8 @@ _POSITIVE = {"above": 0.0}
 
 def _require_params(params: Mapping[str, float], **bounds: dict) -> list[float]:
     """The curve's parameters in order as floats; bounds maps each name to its finite_number range keywords."""
-    if not isinstance(params, Mapping):
-        raise ValueError(f"curve params must be an object with keys {list(bounds)}, got {params!r}")
-    extra = set(params) - set(bounds)
-    if extra:
-        raise ValueError(f"unexpected curve parameters {sorted(extra)}; expected {list(bounds)}")
-    try:
-        return [finite_number(params[name], f"curve parameter {name!r}", **keywords) for name, keywords in bounds.items()]
-    except KeyError as exc:
-        raise ValueError(f"missing curve parameter {exc.args[0]!r}; expected {list(bounds)}") from exc
+    json_object(params, "curve params", tuple(bounds))
+    return [finite_number(params[name], f"curve parameter {name!r}", **keywords) for name, keywords in bounds.items()]
 
 
 def _build_linear(params):
@@ -153,7 +146,7 @@ def make_model(
     above it is rejected because the linear overestimate would dip under
     the curve.
     """
-    if not isinstance(family, str) or family not in _BUILDERS:
+    if family not in list(_BUILDERS):  # a list compares by ==, so an unhashable family is unknown too
         raise ValueError(f"unknown curve family {family!r}; known: {list(_BUILDERS)}")
     domain_max = finite_number(domain_max, "domain_max", lo=0.0)
     fn, dfn = _BUILDERS[family](params)
@@ -218,15 +211,8 @@ def model_to_dict(model: AccuracyModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> AccuracyModel:
-    if not isinstance(data, Mapping):
-        raise ValueError('model spec must be an object with "family", "params" and "domain_max"')
-    try:
-        family = data["family"]
-        params = data["params"]
-        domain_max = data["domain_max"]
-    except KeyError as exc:
-        raise ValueError(f"model spec missing key {exc.args[0]!r}") from exc
-    return make_model(family, params, domain_max, L_override=data.get("L"))
+    json_object(data, "model spec", ("family", "params", "domain_max"), ("L",))
+    return make_model(data["family"], data["params"], data["domain_max"], L_override=data.get("L"))
 
 
 def load_model(path) -> AccuracyModel:

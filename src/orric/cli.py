@@ -180,7 +180,7 @@ def cmd_prune(args) -> int:
     retrain, infer = read_menus(args.profiles)
     profiles = prune_dominated(retrain, infer, auto_insert_zero=not args.no_auto_zero)
     save_profiles(args.out, profiles)
-    inserted = 0 if any(e.gain == 0.0 and e.cost == 0.0 for e in retrain) else 1
+    inserted = profiles.retrain[0] not in retrain  # a pruned menu starts with the no-op entry, inserted if missing
     removed = len(retrain) + inserted + len(infer) - (profiles.m + profiles.n)
     print(f"wrote {args.out} ({profiles.m} retrain, {profiles.n} infer; {removed} dominated entries removed)")
     return 0

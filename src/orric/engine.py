@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,6 +60,8 @@ _SIG = "%.12g"
 _RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"
 # a curvature-witness gap counts beyond this share of the largest term, max|f| * y_hi
 _WITNESS_TOL = 1e-12
+# a trace CSV's columns and the rule each cell is read by: slots run 1..T
+_TRACE_CSV = {"t": partial(integer, lo=1), "d": finite_number, "c": finite_number}
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -471,13 +473,11 @@ def nonconvexity_witness(
 
 def read_trace_csv(path, d_min: float | None = None, d_max: float | None = None) -> Trace:
     """Read a trace from CSV (header t,d,c); bounds default to the observed range."""
-    slots: list[list[float]] = []
-    for expected_t, (line, row) in enumerate(read_csv(path, "trace", "t,d,c", "t, d and c"), 1):
-        t = integer(row["t"], f"{line} t", 1, text=True)
-        slot = [finite_number(row[key], f"{line} {key}", text=True) for key in "dc"]
-        if t != expected_t:
-            raise ValueError(f"{line} t must be {expected_t} (slots run 1..T), got {row['t']!r}")
-        slots.append(slot)
+    slots: list[tuple[float, float]] = []
+    for expected_t, (line, row) in enumerate(read_csv(path, "trace", _TRACE_CSV), 1):
+        if row["t"] != expected_t:
+            raise ValueError(f"{line}: t must be {expected_t} (slots run 1..T), got {row['t']}")
+        slots.append((row["d"], row["c"]))
     if not slots:
         raise ValueError("trace CSV has no rows")
     d, c = zip(*slots)

@@ -1,10 +1,12 @@
-"""Shared exception types, and the one rule for each input from outside the program: a JSON file, a CSV
-file, a number, with its sign or range when it has one (finite_number), an integer (integer) and a pair
-of declared volume bounds (volume_bounds). No other module tests a scalar input's sign, range or finiteness."""
+"""Shared exception types, and the one rule for each input from outside the program: a JSON file and the keys
+of each object in it (json_object), a CSV file and the cells of its rows (read_csv), a number, with its sign or
+range (finite_number), an integer (integer) and a pair of declared volume bounds (volume_bounds). No other
+module tests a scalar's sign, range or finiteness, or a JSON value's type or keys, or reads a CSV file."""
 
 import csv
 import json
 import math
+from collections.abc import Mapping
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -69,19 +71,45 @@ def read_json(path, kind: str):
         raise ValueError(f"bad {kind}: {exc}") from exc
 
 
-def read_csv(path, kind: str, header: str, needs: str):
-    """Each data row of the CSV file at path as a (line label, row dict) pair.
+def json_object(value, where: str, required, optional=()):
+    """value when it is an object (a Mapping) with every required key and no key outside required and optional;
+    else a ValueError that names where it sits, the missing or unknown key and the keys it takes."""
+    keys = " and ".join(f"{label}{', '.join(map(repr, names))}"
+                        for label, names in (("keys ", required), ("optional keys ", optional)) if names)
+    expected = f"{where} must be an object with {keys}"
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{expected}, got {value!r}")
+    missing = [key for key in required if key not in value]
+    unknown = [key for key in value if key not in required and key not in optional]
+    if missing or unknown:
+        found = f"missing {missing[0]!r}" if missing else f"got unknown key {unknown[0]!r}"
+        raise ValueError(f"{expected}, {found}")
+    return value
 
-    The header must be exactly header, and each row must have every field
-    and no more; either error names the file's kind, and a row error its line.
+
+def json_list(value, where: str) -> list:
+    """value when it is a list, else a ValueError that names where it sits."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list")
+    return value
+
+
+def read_csv(path, kind: str, columns: dict):
+    """Each data row of the CSV file at path as a (line label, row dict) pair, each cell read by its column's rule.
+
+    columns maps each field, in header order, to its cell rule, called with text=True: finite_number, integer
+    with its bounds (a functools.partial), or None to keep the text. The header must be exactly the fields, and a
+    row (blank lines skipped) every field and no more; a row's refusal reads "<kind> CSV line N: <field> ...".
     """
+    fields = list(columns)
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header.split(","):
-            raise ValueError(f"{kind} CSV must have header {header}")
-        for row in reader:
+        reader = csv.reader(fh)
+        if next(reader, None) != fields:
+            raise ValueError(f"{kind} CSV must have header {','.join(fields)}")
+        for cells in filter(None, reader):
             line = f"{kind} CSV line {reader.line_num}"
-            # csv fills a short row with None and files extra fields under the key None
-            if None in row or None in row.values():
-                raise ValueError(f"{line} needs {needs}")
-            yield line, row
+            if len(cells) != len(fields):  # a short row names its first missing field, a long one its extra cells
+                raise ValueError(f"{line}: {fields[len(cells)]} is missing" if len(cells) < len(fields) else
+                                 f"{line}: {fields[-1]} must be the last field, got {cells[len(fields):]!r} after it")
+            yield line, {field: cell if rule is None else rule(cell, f"{line}: {field}", text=True)
+                         for (field, rule), cell in zip(columns.items(), cells)}

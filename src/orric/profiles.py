@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import finite_number, read_csv, read_json
+from .errors import finite_number, json_list, json_object, read_csv, read_json
 
 __all__ = [
     "RetrainConfig",
@@ -59,6 +59,9 @@ class InferConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "profit", finite_number(self.profit, "inference profit", above=0.0))
         object.__setattr__(self, "cost", finite_number(self.cost, "inference cost", above=0.0))
+
+
+_NO_OP = RetrainConfig(0.0, 0.0)  # the free no-op retraining entry that every pruned menu starts with
 
 
 def _coerce(entry, cls):
@@ -108,8 +111,7 @@ class ProfileSet:
             raise ValueError("retraining menu is empty")
         if not self.infer:
             raise ValueError("inference menu is empty")
-        head = self.retrain[0]
-        if head.gain != 0.0 or head.cost != 0.0:
+        if self.retrain[0] != _NO_OP:
             raise ValueError("retraining menu must start with the (gain 0, cost 0) no-op entry")
         _check_strictly_monotone([(e.gain, e.cost) for e in self.retrain], "retraining")
         _check_strictly_monotone([(e.profit, e.cost) for e in self.infer], "inference")
@@ -193,12 +195,12 @@ def prune_dominated(
             raise ValueError(
                 f"retraining gain must cost compute; got gain {entry.gain} at cost 0"
             )
-    if not any(e.gain == 0.0 and e.cost == 0.0 for e in retrain):
+    if _NO_OP not in retrain:
         if not auto_insert_zero:
             raise ValueError(
                 "retraining menu lacks the (gain 0, cost 0) entry and auto-insertion is disabled"
             )
-        retrain.append(RetrainConfig(0.0, 0.0))
+        retrain.append(_NO_OP)
     return ProfileSet(
         retrain=_dominance_prune(retrain, lambda e: e.gain),
         infer=_dominance_prune(infer, lambda e: e.profit),
@@ -215,6 +217,7 @@ def normalize_profits(raw_accuracies: Iterable[float]) -> list[float]:
 
 
 _MENUS = {"retrain": (RetrainConfig, "gain"), "infer": (InferConfig, "profit")}  # config type, JSON payoff key
+_MENU_CSV = {"kind": None, "gain_or_profit": finite_number, "cost": finite_number}  # each column's cell rule
 
 
 def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
@@ -234,25 +237,18 @@ def read_menus(path) -> tuple[list[RetrainConfig], list[InferConfig]]:
 
 
 def _menu_rows(path: Path):
-    """Each entry of the menu file as a (where, kind, payoff, cost) row; a CSV cell is read as a number here."""
+    """Each entry of the menu file as a (where, kind, payoff, cost) row."""
     if path.suffix.lower() == ".csv":
-        for line, row in read_csv(path, "profile", "kind,gain_or_profit,cost", "a kind and two numbers"):
+        for line, row in read_csv(path, "profile", _MENU_CSV):
             kind = row["kind"].strip()
-            payoff, cost = (finite_number(row[key], f"{line}: {key}", text=True) for key in ("gain_or_profit", "cost"))
             if kind not in _MENUS:
                 raise ValueError(f"{line}: unknown profile kind {kind!r}")
-            yield line, kind, payoff, cost
+            yield line, kind, row["gain_or_profit"], row["cost"]
         return
-    data = read_json(path, "profile JSON")
-    if not isinstance(data, dict):
-        raise ValueError('profile JSON must be an object with "retrain" and "infer" lists')
+    data = json_object(read_json(path, "profile JSON"), "profile JSON", (), tuple(_MENUS))
     for kind, (_, payoff) in _MENUS.items():
-        entries = data.get(kind, [])
-        if not isinstance(entries, list):
-            raise ValueError(f'profile JSON "{kind}" must be a list')
-        for k, entry in enumerate(entries, 1):
-            if not isinstance(entry, dict) or payoff not in entry or "cost" not in entry:
-                raise ValueError(f'{kind} entry {k} must be an object with "{payoff}" and "cost", got {entry!r}')
+        for k, entry in enumerate(json_list(data.get(kind, []), f'profile JSON "{kind}"'), 1):
+            entry = json_object(entry, f"{kind} entry {k}", (payoff, "cost"))
             yield f"{kind} entry {k}", kind, entry[payoff], entry["cost"]
 
 

@@ -10,9 +10,8 @@ and a capacity law spanning the per-slot compute of the deployed
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 from importlib import resources
 from types import MappingProxyType
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .accuracy import AccuracyModel, make_model
 from .engine import Trace, ensure_feasible
-from .errors import finite_number, integer, read_json, volume_bounds
+from .errors import finite_number, integer, json_object, read_csv, read_json, volume_bounds
 from .profiles import InferConfig, ProfileSet, RetrainConfig, normalize_profits, prune_dominated
 
 __all__ = [
@@ -44,10 +43,10 @@ STUDENT_MODEL = "MobileNetV2"
 TEACHER_MODEL = "ResNet50"
 CLEAN_LABEL = "original"
 MACS_PER_MILLION = 1e6
-# the shipped table's columns, each with the type its cells are read as
+# the shipped table's columns, each with the rule its cells are read by (None keeps the text)
 TABLE_COLUMNS = {
-    "model": str, "resolution": int, "macs_m": float,
-    "latency_us": float, "corruption": str, "accuracy": float,
+    "model": None, "resolution": partial(integer, lo=1), "macs_m": finite_number,
+    "latency_us": finite_number, "corruption": None, "accuracy": finite_number,
 }
 
 SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
@@ -57,7 +56,8 @@ SAMPLING_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
 class TraceSpec:
     """Declarative trace description.
 
-    d_law: constant (value d_lo) or uniform on [d_lo, d_hi].
+    d_law: constant (value d_lo) or uniform on [d_lo, d_hi], the declared
+    volume bounds; a spec made without d_hi stores d_lo there.
     c_law: constant (value c_lo), uniform on [c_lo, c_hi], or derived
     from the menus: sufficient affords the top pair every slot, scarce
     affords exactly the cheapest inference.
@@ -81,7 +81,8 @@ class TraceSpec:
             raise ValueError(f"unknown c_law {self.c_law!r}; known: {list(C_LAWS)}")
         if self.d_law == "uniform" and self.d_hi is None:
             raise ValueError("d_law 'uniform' needs d_hi")
-        volume_bounds(self.d_lo, self.d_lo if self.d_hi is None else self.d_hi)  # its traces' declared bounds
+        object.__setattr__(self, "d_hi", self.d_lo if self.d_hi is None else self.d_hi)
+        volume_bounds(self.d_lo, self.d_hi)  # its traces' declared bounds
         takes = C_LAWS[self.c_law]
         for name, value in (("c_lo", self.c_lo), ("c_hi", self.c_hi)):
             if value is not None and name not in takes:
@@ -104,11 +105,10 @@ def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace
     # counter-based generator so concurrent batch runs stay reproducible
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     horizon = spec.horizon
-    d_hi = spec.d_lo if spec.d_hi is None else spec.d_hi
     if spec.d_law == "constant":
         d = np.full(horizon, spec.d_lo)
     else:
-        d = rng.uniform(spec.d_lo, d_hi, horizon)
+        d = rng.uniform(spec.d_lo, spec.d_hi, horizon)
 
     if spec.c_law in ("sufficient", "scarce"):
         if profiles is None:
@@ -120,7 +120,7 @@ def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace
     else:
         c = rng.uniform(spec.c_lo, spec.c_hi, horizon)
 
-    trace = Trace(d=tuple(d), c=tuple(c), d_min=spec.d_lo, d_max=d_hi)
+    trace = Trace(d=tuple(d), c=tuple(c), d_min=spec.d_lo, d_max=spec.d_hi)
     if profiles is not None:
         ensure_feasible(trace, profiles)
     return trace
@@ -171,11 +171,8 @@ class ReplaySpec:
 @lru_cache(maxsize=1)
 def load_compute_table() -> tuple[MappingProxyType, ...]:
     """Rows of the shipped compute/accuracy table, read-only since every caller shares the cached rows."""
-    with resources.files("orric").joinpath("data/cifar10c_profiles.csv").open() as fh:
-        return tuple(
-            MappingProxyType({key: read(row[key]) for key, read in TABLE_COLUMNS.items()})
-            for row in csv.DictReader(fh)
-        )
+    with resources.as_file(resources.files("orric").joinpath("data/cifar10c_profiles.csv")) as path:
+        return tuple(MappingProxyType(row) for _, row in read_csv(path, "compute table", TABLE_COLUMNS))
 
 
 def corruption_labels() -> tuple[str, ...]:
@@ -254,11 +251,6 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
 
 
 def load_replay_spec(path) -> ReplaySpec:
-    """Read a ReplaySpec from JSON mirroring its fields."""
-    data = read_json(path, "replay spec")
-    if not isinstance(data, dict):
-        raise ValueError("replay spec must be a JSON object of ReplaySpec fields")
-    try:
-        return ReplaySpec(**data)
-    except TypeError as exc:
-        raise ValueError(f"bad replay spec: {exc}") from exc
+    """Read a ReplaySpec from a JSON object of its fields, of which only corruption is required."""
+    corruption, *optional = (spec_field.name for spec_field in fields(ReplaySpec))
+    return ReplaySpec(**json_object(read_json(path, "replay spec"), "replay spec", (corruption,), optional))

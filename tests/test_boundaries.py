@@ -1,7 +1,8 @@
 """Every entry point that takes an integer, a signed or ranged number or a pair of declared volume bounds
 refuses a misfit with its rule's message: errors.integer for integers, errors.finite_number for numbers
 and errors.volume_bounds for (d_min, d_max). A menu entry or a trace slot is refused with where it sits,
-and a capacity law with a field it does not take."""
+and a capacity law with a field it does not take. Every JSON object a reader takes is checked by
+errors.json_object, and every CSV row by errors.read_csv, which name the key or the line and field."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from orric import (
     save_profiles,
     write_trace_csv,
 )
+from orric import scenario
 from orric.cli import main
 from orric.errors import integer, volume_bounds
 from orric.policies import weight_schedule
@@ -237,6 +240,50 @@ LOCATED_FILES = {
                  "profile CSV line 3: gain_or_profit must be a finite number, got 'abc'"),
     "kind.csv": ("prune", MENU_HEAD + "both,1,2\n", "profile CSV line 3: unknown profile kind 'both'"),
     "negative.csv": ("run", "t,d,c\n1,1,12\n2,1,-1\n", "slot 2 capacity must be >= 0, got -1.0"),
+    "short.csv": ("prune", MENU_HEAD + "infer,1\n", "profile CSV line 3: cost is missing"),
+    "long.csv": ("prune", MENU_HEAD + "infer,1,2,3\n",
+                 "profile CSV line 3: cost must be the last field, got ['3'] after it"),
+    "trace-cell.csv": ("run", "t,d,c\n1,1,12\n2,abc,5\n", "trace CSV line 3: d must be a finite number, got 'abc'"),
+    "trace-short.csv": ("run", "t,d,c\n1,1,12\n2,1\n", "trace CSV line 3: c is missing"),
+    "trace-slot.csv": ("run", "t,d,c\n1,1,12\n3,1,5\n", "trace CSV line 3: t must be 2 (slots run 1..T), got 3"),
+}
+
+MENU = {"retrain": [{"gain": 0, "cost": 0}], "infer": [{"profit": 1, "cost": 1}]}
+CURVE = {"family": "linear", "params": {"intercept": 0.5, "slope": 0.3}, "domain_max": 1.0}
+MENU_KEYS = "profile JSON must be an object with optional keys 'retrain', 'infer', "
+CURVE_KEYS = "model spec must be an object with keys 'family', 'params', 'domain_max' and optional keys 'L', "
+PARAMS_KEYS = "curve params must be an object with keys 'intercept', 'slope', "
+SPEC_KEYS = ("replay spec must be an object with keys 'corruption' and optional keys 'sampling_ratios', "
+             "'train_cost_multiplier', 'epochs_per_slot', 'f_at_max', 'L', 'horizon', 'data_per_slot', 'seed', ")
+# file name: (the command that reads it, the JSON value it holds, the refusal, which names the object and the key)
+JSON_FILES = {
+    "menu-list.json": ("prune", [MENU], MENU_KEYS + f"got {[MENU]!r}"),
+    "menu-retrian.json": ("prune", {"retrian": [{"gain": 1, "cost": 3}], "infer": MENU["infer"]},
+                          MENU_KEYS + "got unknown key 'retrian'"),
+    "entry-list.json": ("prune", {**MENU, "retrain": [[0, 0]]},
+                        "retrain entry 1 must be an object with keys 'gain', 'cost', got [0, 0]"),
+    "entry-no-cost.json": ("prune", {**MENU, "infer": [{"profit": 1}]},
+                           "infer entry 1 must be an object with keys 'profit', 'cost', missing 'cost'"),
+    "entry-note.json": ("prune", {**MENU, "retrain": [{"gain": 0, "cost": 0, "note": "free"}]},
+                        "retrain entry 1 must be an object with keys 'gain', 'cost', got unknown key 'note'"),
+    "model-text.json": ("witness", "linear", CURVE_KEYS + "got 'linear'"),
+    "model-no-params.json": ("witness", {"family": "linear", "domain_max": 1.0}, CURVE_KEYS + "missing 'params'"),
+    "model-l.json": ("witness", {**CURVE, "l": 0.01}, CURVE_KEYS + "got unknown key 'l'"),
+    "params-number.json": ("witness", {**CURVE, "params": 0.3}, PARAMS_KEYS + "got 0.3"),
+    "params-no-slope.json": ("witness", {**CURVE, "params": {"intercept": 0.5}}, PARAMS_KEYS + "missing 'slope'"),
+    "params-x.json": ("witness", {**CURVE, "params": {**CURVE["params"], "x": 1}}, PARAMS_KEYS + "got unknown key 'x'"),
+    "spec-list.json": ("replay-spec", ["fog"], SPEC_KEYS + "got ['fog']"),
+    "spec-no-corruption.json": ("replay-spec", {"horizon": 2}, SPEC_KEYS + "missing 'corruption'"),
+    "spec-horizn.json": ("replay-spec", {"corruption": "fog", "horizn": 2}, SPEC_KEYS + "got unknown key 'horizn'"),
+}
+TABLE_HEAD = "model,resolution,macs_m,latency_us,corruption,accuracy\n"
+# a compute table's text: its refusal
+TABLE_TEXTS = {
+    TABLE_HEAD + "MobileNetV2,20,6.35,7.54,original,high\n":
+        "compute table CSV line 2: accuracy must be a finite number, got 'high'",
+    TABLE_HEAD + "MobileNetV2,20.0,6.35,7.54,original,44.93\n":
+        "compute table CSV line 2: resolution must be an integer >= 1, got '20.0'",
+    TABLE_HEAD + "MobileNetV2,20,6.35,7.54,original\n": "compute table CSV line 2: accuracy is missing",
 }
 
 # (column, slot, value): the refusal of a three-slot trace on the declared bounds [1, 2]
@@ -259,11 +306,21 @@ def trace_with(column: str, k: int, value):
 
 def file_error(name: str, command: str, text: str):
     """A check that writes text to the file name and returns what command prints when it reads that file."""
-    flag = {"prune": "--profiles", "run": "--trace"}[command]
+    flag = {"prune": "--profiles", "run": "--trace", "witness": "--model", "replay-spec": "--spec"}[command]
 
     def refuse(files):
         (files / name).write_text(text)
         return cli_error(command, flag, str(files / name))(files)
+    return refuse
+
+
+def table_error(text: str):
+    """A check that reads a compute table holding text, in place of the shipped one, and returns its refusal."""
+    def refuse(files):
+        (files / "data").mkdir(exist_ok=True)
+        (files / "data" / "cifar10c_profiles.csv").write_text(text)
+        with mock.patch.object(scenario.resources, "files", lambda package: files):
+            return raised(scenario.load_compute_table.__wrapped__)(files)
     return refuse
 
 
@@ -326,6 +383,7 @@ def command_argv(files, command: str) -> list[str]:
         "prune": ["prune", "--profiles", profiles, "--out", out],
         "bounds": ["bounds", "--profiles", profiles, "--model", model, "--d-min", "1", "--d-max", "1", "--T", "2"],
         "replay": ["replay", "fog", "--T", "2", "--out", out],
+        "replay-spec": ["replay", "--out", out],
         "run": ["run", "--profiles", profiles, "--model", model, "--trace", trace, "--out", out],
         "oracle": ["oracle", "--profiles", profiles, "--model", model, "--trace", trace],
         "witness": ["witness", "--model", model, "--y-lo", "0.5", "--y-hi", "1"],
@@ -359,6 +417,10 @@ def boundary_cases():
         yield pytest.param(cli_error("gen-trace-menus", *flags), message, id=" ".join(("gen-trace", *flags)))
     for name, (command, text, message) in LOCATED_FILES.items():
         yield pytest.param(file_error(name, command, text), message, id=f"{command} {name}")
+    for name, (command, value, message) in JSON_FILES.items():
+        yield pytest.param(file_error(name, command, json.dumps(value)), message, id=f"{command} {name}")
+    for text, message in TABLE_TEXTS.items():
+        yield pytest.param(table_error(text), message, id=f"compute table: {message}")
     for (column, k, value), message in TRACE_SLOTS.items():
         yield pytest.param(raised(trace_with(column, k, value)), message, id=f"Trace.{column}[{k}]={value!r}")
 

@@ -386,8 +386,11 @@ class TestRun:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["2,1", "2,1,5,7"], ids=["short", "extra-field"])
-    def test_malformed_trace_row(self, tmp_path, worked_files, capsys, row):
+    @pytest.mark.parametrize("row, message", [
+        ("2,1", "trace CSV line 3: c is missing"),
+        ("2,1,5,7", "trace CSV line 3: c must be the last field, got ['7'] after it"),
+    ], ids=["short", "extra-field"])
+    def test_malformed_trace_row(self, tmp_path, worked_files, capsys, row, message):
         trace = tmp_path / "trace.csv"
         trace.write_text(f"t,d,c\n1,1,12\n{row}\n")
         rc = main(["run",
@@ -396,7 +399,7 @@ class TestRun:
                    "--trace", str(trace),
                    "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert "trace CSV line 3 needs t, d and c" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_non_finite_L(self, tmp_path, worked_files, capsys):
         model = json.loads((worked_files / "model.json").read_text())
@@ -466,9 +469,9 @@ NUMBERS_IN_JSON = [
 NUMBERS_IN_TEXT = [
     ("menu-csv", (1, 1), "profile CSV line 2: gain_or_profit"),
     ("menu-csv", (2, 2), "profile CSV line 3: cost"),
-    ("trace-csv", (2, 0), "trace CSV line 3 t"),
-    ("trace-csv", (2, 1), "trace CSV line 3 d"),
-    ("trace-csv", (1, 2), "trace CSV line 2 c"),
+    ("trace-csv", (2, 0), "trace CSV line 3: t"),
+    ("trace-csv", (2, 1), "trace CSV line 3: d"),
+    ("trace-csv", (1, 2), "trace CSV line 2: c"),
 ]
 # JSON text -> the value json reads; the last is an integer past the float range
 NOT_JSON_NUMBERS = {"true": True, "false": False, '"0.5"': "0.5", "null": None,
@@ -486,14 +489,14 @@ def outside_number_cases():
     for value in ("abc", "nan", "1e400"):
         for reader, where, field in NUMBERS_IN_TEXT:
             row, column = where
-            rule = "an integer >= 1" if field.endswith(" t") else "a finite number"  # a slot number is an integer
+            rule = "an integer >= 1" if field.endswith(": t") else "a finite number"  # a slot number is an integer
             yield pytest.param(reader, where, value, f"{field} must be {rule}, got {value!r}",
                                id=f"{reader}-line{row + 1}-{NUMBER_TEXT[reader][0][column]}-{value}")
         for flag in FLOAT_FLAGS:
             yield pytest.param("flag", flag, value, f"argument {flag}: value must be a finite number, got {value!r}",
                                id=f"flag{flag}-{value}")
     for value in ("2.0", "2e0"):  # numbers, but no slot number
-        yield pytest.param("trace-csv", (2, 0), value, f"trace CSV line 3 t must be an integer >= 1, got {value!r}",
+        yield pytest.param("trace-csv", (2, 0), value, f"trace CSV line 3: t must be an integer >= 1, got {value!r}",
                            id=f"trace-csv-line3-t-{value}")
 
 
@@ -869,8 +872,11 @@ class TestWitness:
         assert "no witness" in captured.err
 
     @pytest.mark.parametrize("change, message", [
-        (lambda doc: [doc], 'model spec must be an object with "family", "params" and "domain_max"'),
-        (lambda doc: {**doc, "params": ["intercept", "slope"]}, "curve params must be an object"),
+        (lambda doc: [doc], "model spec must be an object with keys 'family', 'params', 'domain_max' and optional "
+                            "keys 'L', got [{'family': 'linear', 'params': {'intercept': 0.5, 'slope': 0.3}, "
+                            "'domain_max': 1.0, 'L': 0.3}]"),
+        (lambda doc: {**doc, "params": ["intercept", "slope"]},
+         "curve params must be an object with keys 'intercept', 'slope', got ['intercept', 'slope']"),
         (lambda doc: {**doc, "family": ["linear"]}, "unknown curve family ['linear']"),
         (lambda doc: {**doc, "domain_max": None}, "domain_max must be a finite number, got None"),
         (lambda doc: {**doc, "params": {"intercept": None, "slope": 0.3}},

@@ -1,6 +1,7 @@
 """Names the benchmark tracer wraps must exist in the package and keep covering the work they time;
 the package's public names are its modules' __all__ lists, each name once; the mutation catalogue's
-snippets and tests must exist too; the integer, volume-bound and finite-number rules are stated once."""
+snippets and tests must exist too; the integer, volume-bound and finite-number rules, and the rules for
+a JSON object's keys and a CSV file's cells, are stated once."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import shlex
 import types
 from pathlib import Path
@@ -223,3 +225,29 @@ def test_finite_number_rule_is_stated_once():
     found = {(path.name, site) for path in sorted(errors.parent.glob("*.py")) if path != errors
              for site in isfinite_sites(path)}
     assert found == ISFINITE_EXEMPT
+
+
+def file_field_sites(path: Path) -> set[str]:
+    """Which of the file rules' statements the module makes: importing csv, or wording a message about an
+    object or its keys (any string but a docstring that names either)."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and "csv" in {alias.name for alias in node.names}:
+            found.add("import csv")
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.add("import csv")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            if re.search(r"\b(object|keys?)\b", node.value):
+                found.add("object message")
+    return found
+
+
+def test_file_field_rules_are_stated_once():
+    # errors.read_csv reads every CSV file and errors.json_object checks and words every JSON object's keys
+    errors = ROOT / "src" / "orric" / "errors.py"
+    assert file_field_sites(errors) == {"import csv", "object message"}
+    for path in sorted(errors.parent.glob("*.py")):
+        if path != errors:
+            assert not file_field_sites(path), path.name

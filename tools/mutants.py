@@ -160,8 +160,8 @@ CATALOGUE = {
     # a CSV input with another header must be refused, not read by whatever columns it happens to have
     "csv-reader-any-header": Mutant(
         "src/orric/errors.py",
-        'if reader.fieldnames != header.split(","):',
-        "if False:",
+        "if next(reader, None) != fields:",
+        "if next(reader, None) is None:",
         (
             "tests/test_engine.py::TestTraceCSV::test_header_required",
             "tests/test_profiles.py::TestIO::test_wrong_csv_header",
@@ -170,12 +170,30 @@ CATALOGUE = {
     # a short row or one with extra fields must be refused with its line
     "csv-reader-any-row": Mutant(
         "src/orric/errors.py",
-        "if None in row or None in row.values():",
+        "if len(cells) != len(fields):",
         "if False:",
         (
             "tests/test_cli.py::TestRun::test_malformed_trace_row",
             "tests/test_cli.py::TestPrune::test_malformed_menu_csv_row",
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
         ),
+    ),
+    # every cell must go through its column's rule: a text cell would reach the menus, the trace and the table
+    "csv-cell-unread": Mutant(
+        "src/orric/errors.py",
+        'cell if rule is None else rule(cell, f"{line}: {field}", text=True)',
+        "cell",
+        (
+            "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
+            "tests/test_cli.py::test_outside_number_refused",
+        ),
+    ),
+    # a key an object does not take must be refused, not silently dropped
+    "json-object-any-key": Mutant(
+        "src/orric/errors.py",
+        "unknown = [key for key in value if key not in required and key not in optional]",
+        "unknown = []",
+        ("tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",),
     ),
     # every CSV the package writes ends with a newline
     "csv-writer-no-final-newline": Mutant(
