@@ -28,18 +28,18 @@ print()
 
 for policy in POLICIES:
     result = run_policy(policy, trace, profiles, model)
-    picks = ", ".join(f"({d.retrain_index},{d.infer_index})" for d in result.decisions)
+    picks = ", ".join(f"({i},{j})" for i, j in zip(result.retrain_index, result.infer_index))
     print(f"{policy:>22}: decisions [{picks}]  total {result.total:.4f}")
 
 oracle = offline_optimal(trace, profiles, model)
-picks = ", ".join(f"({d.retrain_index},{d.infer_index})" for d in oracle.decisions)
+picks = ", ".join(f"({i},{j})" for i, j in zip(oracle.retrain_index, oracle.infer_index))
 print(f"{'offline optimum':>22}: decisions [{picks}]  total {oracle.total:.4f}")
 print()
 
 print("accuracy trajectory under the optimum (z = volume-weighted gain so far):")
 z = d_sum = 0.0
-for t, dec in enumerate(oracle.decisions, 1):
-    z += trace.d[t - 1] * profiles.retrain[dec.retrain_index - 1].gain
+for t, i in enumerate(oracle.retrain_index, 1):
+    z += trace.d[t - 1] * profiles.retrain[i - 1].gain
     d_sum += trace.d[t - 1]
     print(f"  after slot {t}: z={z:.2f}, d_sum={d_sum:.0f}, f={model.eval(z / d_sum):.4f}")
 print()

@@ -4,9 +4,10 @@ A run scores a decision sequence against a trace: each slot earns
 f(average historical retraining gain) times the slot's inference profit
 times its data volume, with slot 1 scored at f(0) because there is no
 history yet. A run's decisions stay one (T, 2) array of 1-based menu
-indices from the policy through the scorer and the result to the run
-CSV. The scorer checks and scores a whole run with array expressions,
-and its running sums and the run CSV's go through one Kahan prefix sum.
+indices from the policy through the scorer, and its result holds the run
+CSV's per-slot columns. The scorer checks and scores a whole run with
+array expressions, and its running sums and the run CSV's go through one
+Kahan prefix sum.
 The offline oracle is exact: it prunes partial retraining sequences to
 the Pareto frontier of (volume-weighted gain so far, score so far), with
 greedy inference per slot once retraining is fixed, and it is the
@@ -19,7 +20,7 @@ weight schedule with the menus and curve they were built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -31,7 +32,6 @@ from .errors import InfeasibleError, finite_number, integer, read_csv, volume_bo
 from .policies import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
-    Decision,
     fit_table,
     table_decisions,
     weight_schedule,
@@ -62,6 +62,8 @@ _RUN_ROW = f"%d,%d,%d,%s,{_SIG},{_SIG},{_SIG},%s"
 _WITNESS_TOL = 1e-12
 # a trace CSV's columns and the rule each cell is read by: slots run 1..T
 _TRACE_CSV = {"t": partial(integer, lo=1), "d": finite_number, "c": finite_number}
+# the cell types a Trace compares in place; any other, a bool or a str among them, goes to the number rule
+_PLAIN = (float, int, np.float64)
 
 
 def _kahan_cumsum(values) -> list[float]:
@@ -105,18 +107,19 @@ class Trace:
     d_max: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(float(x) for x in self.d))
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        if not self.d or len(self.d) != len(self.c):
+        if not len(self.d) or len(self.d) != len(self.c):
             raise ValueError("d and c must be non-empty and equal length")
         for name, bound in zip(("d_min", "d_max"), volume_bounds(self.d_min, self.d_max)):
             object.__setattr__(self, name, bound)
-        # one comparison per value, false for NaN and the infinities; the first misfit is worded by the number rule
-        for name, column, lo, hi in (("volume", self.d, self.d_min, self.d_max), ("capacity", self.c, 0.0, None)):
-            top = np.finfo(float).max if hi is None else hi
+        # one type test and one comparison per value, false for NaN and the infinities; the first misfit, and any
+        # cell of another type, is worded by the number rule. The columns are stored as Python floats, whose repr
+        # write_trace_csv writes
+        for key, name, lo, hi in (("d", "volume", self.d_min, self.d_max), ("c", "capacity", 0.0, None)):
+            column, top = getattr(self, key), np.finfo(float).max if hi is None else hi
             for k, x in enumerate(column, 1):
-                if not lo <= x <= top:
+                if type(x) not in _PLAIN or not lo <= x <= top:
                     finite_number(x, f"slot {k} {name}", lo=lo, hi=hi)
+            object.__setattr__(self, key, tuple(map(float, column)))
 
     def __reduce__(self):
         return type(self), (self.d, self.c, self.d_min, self.d_max)
@@ -142,41 +145,19 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A scored decision sequence.
+    """A scored decision sequence: the run CSV's per-slot columns and their total.
 
-    indices holds the decisions as a read-only (T, 2) integer array of
-    1-based (retrain, infer) menu indices, copied from any (T, 2)
-    array-like; decisions is the same run as Decision tuples, built on
-    first access. Two results are equal when every field is. A pickle or
-    copy is rebuilt through the constructor, which freezes its indices.
+    retrain_index and infer_index hold each slot's 1-based menu indices,
+    per_slot_perf and per_slot_budget_use its score and compute use.
     """
 
-    indices: np.ndarray
+    retrain_index: tuple[int, ...]
+    infer_index: tuple[int, ...]
     per_slot_perf: tuple[float, ...]
     total: float
     per_slot_budget_use: tuple[float, ...]
     policy: str = ""
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        indices = np.array(self.indices)
-        indices.flags.writeable = False
-        object.__setattr__(self, "indices", indices)
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other) -> bool:
-        # an array compares element-wise, so the indices are compared whole
-        if not isinstance(other, RunResult):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and all(
-            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "indices"
-        )
-
-    @cached_property
-    def decisions(self) -> tuple[Decision, ...]:
-        return tuple(Decision(i, j) for i, j in self.indices.tolist())
 
 
 def _kept(trace: Trace, name: str, inputs: tuple, build: Callable[[], tuple]) -> tuple:
@@ -230,10 +211,10 @@ def evaluate_objective(
     """Score a complete decision sequence, enforcing the per-slot budget.
 
     decisions is any (T, 2) array-like of 1-based (retrain, infer) menu
-    indices: a sequence of Decision tuples, or the integer array that
-    table_decisions returns. Every index is checked before any budget, so
-    the first slot with a bad index is reported even when an earlier slot
-    is over its budget.
+    indices: a sequence of (retrain, infer) pairs, or the integer array
+    that table_decisions returns. Every index is checked before any
+    budget, so the first slot with a bad index is reported even when an
+    earlier slot is over its budget.
     """
     horizon = trace.horizon
     if len(decisions) != horizon:
@@ -245,7 +226,7 @@ def evaluate_objective(
     inside = (index >= 1) & (index <= (profiles.m, profiles.n))
     if not inside.all():
         k = int(inside.all(axis=1).argmin())
-        raise ValueError(f"slot {k + 1}: decision indices {Decision(*index[k].tolist())} outside the menus")
+        raise ValueError(f"slot {k + 1}: decision indices {tuple(index[k].tolist())} outside the menus")
     i, j = (index - 1).T
     menus = profiles.arrays
     view = trace.arrays
@@ -262,7 +243,8 @@ def evaluate_objective(
     x[1:] = np.divide(z[:-1], view.d_sum[:-1])
     perfs = (model.eval_clipped(x) * menus.profit[j] * d).tolist()
     return RunResult(
-        indices=index,
+        retrain_index=tuple(index[:, 0].tolist()),
+        infer_index=tuple(index[:, 1].tolist()),
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(used.tolist()),
@@ -270,7 +252,7 @@ def evaluate_objective(
 
 
 def _labelled(result: RunResult, policy: str, meta: dict) -> RunResult:
-    """Name a fresh result from evaluate_objective in place, sparing a rebuild's copy of its indices."""
+    """Name a fresh result from evaluate_objective in place, which costs less than dataclasses.replace's rebuild."""
     object.__setattr__(result, "policy", policy)
     object.__setattr__(result, "meta", meta)
     return result
@@ -503,5 +485,5 @@ def write_run_csv(path, result: RunResult, trace: Trace) -> None:
     """Per-slot run report: t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity."""
     u_text, c_text = trace._run_csv_columns
     write_csv(path, "t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity", _RUN_ROW,
-              (range(1, trace.horizon + 1), *result.indices.T.tolist(), u_text, result.per_slot_perf,
+              (range(1, trace.horizon + 1), result.retrain_index, result.infer_index, u_text, result.per_slot_perf,
                _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use, c_text))

@@ -17,7 +17,6 @@ rule, so they answer with the code a run uses.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "FOCUS_SHIFT",
     "HEURISTICS",
     "POLICIES",
-    "Decision",
     "compute_weights",
     "orric_step",
     "heuristic_step",
@@ -46,17 +44,6 @@ KNOWLEDGE_DISTILLATION = "knowledge-distillation"
 FOCUS_SHIFT = "focus-shift"
 HEURISTICS = (INFERENCE_ONLY, INFERENCE_GREEDY, KNOWLEDGE_DISTILLATION, FOCUS_SHIFT)
 POLICIES = (ORRIC,) + HEURISTICS
-
-
-class Decision(NamedTuple):
-    """1-based menu indices chosen for one slot.
-
-    A tuple, so a sequence of decisions and a (T, 2) integer array of
-    1-based indices are the same input to the scorer.
-    """
-
-    retrain_index: int
-    infer_index: int
 
 
 def weight_schedule(
@@ -178,16 +165,16 @@ def table_decisions(
     return np.column_stack((i, j)) + 1
 
 
-def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> Decision:
-    """The table rule's decision for slot t of unit volume with per-sample budget u."""
+def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> tuple[int, int]:
+    """The table rule's 1-based (retrain, infer) pair for slot t of unit volume with per-sample budget u."""
     t = integer(t, "slot t", 1, integer(horizon, "horizon", 1))
     u = finite_number(u, "per-sample budget u")
     jbest = fit_table([1.0], [u], profiles)
     (row,) = table_decisions(policy, jbest, np.array([t]), horizon, np.array([u]), profiles, schedule).tolist()
-    return Decision(*row)
+    return tuple(row)
 
 
-def orric_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
+def orric_step(v: float, w: float, u: float, profiles: ProfileSet) -> tuple[int, int]:
     """Pick the pair fitting the per-sample budget u that maximizes v * gain + w * profit.
 
     A one-slot fit table read by the orric rule of table_decisions: ties
@@ -197,7 +184,7 @@ def orric_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
     return _one_slot(ORRIC, 1, 1, u, profiles, (np.array([v]), np.array([w]), None))
 
 
-def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> Decision:
+def heuristic_step(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet) -> tuple[int, int]:
     """One slot of a named fixed strategy: slot t of unit volumes with per-sample budget u."""
     if policy not in HEURISTICS:
         raise ValueError(f"unknown heuristic {policy!r}; known: {list(HEURISTICS)}")

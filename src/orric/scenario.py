@@ -19,7 +19,7 @@ import numpy as np
 
 from .accuracy import AccuracyModel, make_model
 from .engine import Trace, ensure_feasible
-from .errors import finite_number, integer, json_object, read_csv, read_json, volume_bounds
+from .errors import finite_number, integer, json_list, json_object, read_csv, read_json, volume_bounds
 from .profiles import InferConfig, ProfileSet, RetrainConfig, normalize_profits, prune_dominated
 
 __all__ = [
@@ -120,7 +120,7 @@ def generate_trace(spec: TraceSpec, profiles: ProfileSet | None = None) -> Trace
     else:
         c = rng.uniform(spec.c_lo, spec.c_hi, horizon)
 
-    trace = Trace(d=tuple(d), c=tuple(c), d_min=spec.d_lo, d_max=spec.d_hi)
+    trace = Trace(d=d.tolist(), c=c.tolist(), d_min=spec.d_lo, d_max=spec.d_hi)
     if profiles is not None:
         ensure_feasible(trace, profiles)
     return trace
@@ -253,4 +253,7 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
 def load_replay_spec(path) -> ReplaySpec:
     """Read a ReplaySpec from a JSON object of its fields, of which only corruption is required."""
     corruption, *optional = (spec_field.name for spec_field in fields(ReplaySpec))
-    return ReplaySpec(**json_object(read_json(path, "replay spec"), "replay spec", (corruption,), optional))
+    spec = json_object(read_json(path, "replay spec"), "replay spec", (corruption,), optional)
+    if "sampling_ratios" in spec:
+        json_list(spec["sampling_ratios"], "sampling_ratios")
+    return ReplaySpec(**spec)

@@ -12,7 +12,6 @@ import pytest
 
 from orric import (
     AccuracyModel,
-    Decision,
     InfeasibleError,
     InferConfig,
     ProfileSet,
@@ -152,10 +151,15 @@ def random_feasible_trace(
     return Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
 
 
+def decision_pairs(result: RunResult) -> tuple[tuple[int, int], ...]:
+    """A result's decisions as (retrain, infer) pairs, slot by slot."""
+    return tuple(zip(result.retrain_index, result.infer_index))
+
+
 def naive_optimal_total(trace, profiles, model):
     """Max objective over the full cartesian product of decision sequences."""
     slot_choices = [
-        Decision(i, j)
+        (i, j)
         for i in range(1, profiles.m + 1)
         for j in range(1, profiles.n + 1)
     ]
@@ -212,7 +216,7 @@ def enumerate_optimal(trace, profiles, model, chunk: int = 1 << 16):
             best_value = float(values[k])
             best_digits = digits[k].copy()
     decisions = tuple(
-        Decision(int(i) + 1, int(jbest[t, i]) + 1) for t, i in enumerate(best_digits)
+        (int(i) + 1, int(jbest[t, i]) + 1) for t, i in enumerate(best_digits)
     )
     result = evaluate_objective(decisions, trace, profiles, model)
     return replace(result, policy="oracle", meta={"enumerated_sequences": total_sequences})
@@ -252,11 +256,11 @@ def reference_objective(decisions, trace, profiles, model) -> RunResult:
     profits: list[float] = []
     budgets: list[float] = []
     for t in range(1, horizon + 1):
-        dec = decisions[t - 1]
-        if not (1 <= dec.retrain_index <= profiles.m and 1 <= dec.infer_index <= profiles.n):
-            raise ValueError(f"slot {t}: decision indices {dec} outside the menus")
-        rcfg = profiles.retrain[dec.retrain_index - 1]
-        icfg = profiles.infer[dec.infer_index - 1]
+        i, j = (int(k) for k in decisions[t - 1])
+        if not (1 <= i <= profiles.m and 1 <= j <= profiles.n):
+            raise ValueError(f"slot {t}: decision indices {(i, j)} outside the menus")
+        rcfg = profiles.retrain[i - 1]
+        icfg = profiles.infer[j - 1]
         d_t = trace.d[t - 1]
         used = d_t * (rcfg.cost + icfg.cost)
         if used > trace.c[t - 1]:
@@ -274,7 +278,8 @@ def reference_objective(decisions, trace, profiles, model) -> RunResult:
         d_sum.add(d_t)
     perfs = (model.eval(np.array(xs)) * np.array(profits) * np.array(trace.d)).tolist()
     return RunResult(
-        indices=decisions,
+        retrain_index=tuple(int(i) for i, _ in decisions),
+        infer_index=tuple(int(j) for _, j in decisions),
         per_slot_perf=tuple(perfs),
         total=math.fsum(perfs),
         per_slot_budget_use=tuple(budgets),
@@ -287,11 +292,11 @@ _SIG = ".12g"
 def reference_run_csv(result, trace) -> str:
     """Reference run CSV text: the per-value f-string rows write_run_csv wrote before its % template."""
     lines = ["t,retrain_index,infer_index,u,perf,cum_perf,budget_used,capacity"]
-    rows = zip(result.decisions, trace.d, trace.c, result.per_slot_perf,
+    rows = zip(result.retrain_index, result.infer_index, trace.d, trace.c, result.per_slot_perf,
                _kahan_cumsum(result.per_slot_perf), result.per_slot_budget_use)
-    for t, (dec, d, c, perf, cum, used) in enumerate(rows, 1):
+    for t, (i, j, d, c, perf, cum, used) in enumerate(rows, 1):
         lines.append(
-            f"{t},{dec.retrain_index},{dec.infer_index},{c / d:{_SIG}},"
+            f"{t},{i},{j},{c / d:{_SIG}},"
             f"{perf:{_SIG}},{cum:{_SIG}},{used:{_SIG}},{c:{_SIG}}"
         )
     return "\n".join(lines) + "\n"

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from orric import (
-    Decision,
     InfeasibleError,
     ReplaySpec,
     TraceSpec,
@@ -67,7 +66,7 @@ def step_oracle(v: float, w: float, u: float, profiles):
     ).max()
     assert best == full
     i = int(np.argmax(vals == best))
-    return Decision(i + 1, int(per_i_j[i]) + 1), float(best)
+    return (i + 1, int(per_i_j[i]) + 1), float(best)
 
 
 def test_criterion_01_step_rule_equals_enumeration():
@@ -91,7 +90,7 @@ def test_criterion_01_step_rule_equals_enumeration():
             ok = False
             break
         got = orric_step(v, w, u, ps)
-        value = v * ps.retrain[got.retrain_index - 1].gain + w * ps.infer[got.infer_index - 1].profit
+        value = v * ps.retrain[got[0] - 1].gain + w * ps.infer[got[1] - 1].profit
         if got != expected[0] or value != expected[1]:
             ok = False
             break
@@ -254,14 +253,14 @@ def test_criterion_09_regime_taxonomy(worked_profiles, worked_model):
         model = random_model(rng, ps.max_gain)
         top = (ps.m, ps.n)
         plentiful = generate_trace(TraceSpec(horizon=6, d_lo=2.0, c_law="sufficient"), ps)
-        decisions = run_policy("orric", plentiful, ps, model).decisions
+        result = run_policy("orric", plentiful, ps, model)
         sufficient_ok = sufficient_ok and all(
-            (dec.retrain_index, dec.infer_index) == top for dec in decisions[:-1]
+            pair == top for pair in zip(result.retrain_index[:-1], result.infer_index[:-1])
         )
         starved = generate_trace(TraceSpec(horizon=6, d_lo=2.0, c_law="scarce"), ps)
-        decisions = run_policy("orric", starved, ps, model).decisions
+        result = run_policy("orric", starved, ps, model)
         scarce_ok = scarce_ok and all(
-            (dec.retrain_index, dec.infer_index) == (1, 1) for dec in decisions
+            pair == (1, 1) for pair in zip(result.retrain_index, result.infer_index)
         )
 
     # budget 12 affords retraining with cheap inference (cost 12) or top
@@ -274,7 +273,7 @@ def test_criterion_09_regime_taxonomy(worked_profiles, worked_model):
     )
     result = run_policy("orric", trace, worked_profiles, worked_model)
     gains = [
-        worked_profiles.retrain[dec.retrain_index - 1].gain for dec in result.decisions
+        worked_profiles.retrain[i - 1].gain for i in result.retrain_index
     ]
     half = horizon // 2
     early, late = float(np.mean(gains[:half])), float(np.mean(gains[half:]))

@@ -275,6 +275,9 @@ JSON_FILES = {
     "spec-list.json": ("replay-spec", ["fog"], SPEC_KEYS + "got ['fog']"),
     "spec-no-corruption.json": ("replay-spec", {"horizon": 2}, SPEC_KEYS + "missing 'corruption'"),
     "spec-horizn.json": ("replay-spec", {"corruption": "fog", "horizn": 2}, SPEC_KEYS + "got unknown key 'horizn'"),
+    **{f"spec-ratios-{kind}.json": ("replay-spec", {"corruption": "fog", "sampling_ratios": value},
+                                    "sampling_ratios must be a list")
+       for kind, value in (("text", "01"), ("object", {"a": 1}), ("number", 0.5))},
 }
 TABLE_HEAD = "model,resolution,macs_m,latency_us,corruption,accuracy\n"
 # a compute table's text: its refusal
@@ -289,7 +292,8 @@ TABLE_TEXTS = {
 # (column, slot, value): the refusal of a three-slot trace on the declared bounds [1, 2]
 TRACE_SLOTS = {
     **{(column, 2, value): f"slot 2 {name} must be a finite number, got {value!r}"
-       for column, name in (("d", "volume"), ("c", "capacity")) for value in (math.nan, math.inf, -math.inf)},
+       for column, name in (("d", "volume"), ("c", "capacity"))
+       for value in (math.nan, math.inf, -math.inf, True, "1.5", b"3")},
     ("c", 2, -1.0): "slot 2 capacity must be >= 0, got -1.0",
     ("c", 3, -5e-324): "slot 3 capacity must be >= 0, got -5e-324",
     **{("d", k, value): f"slot {k} volume must be >= 1 and <= 2, got {value!r}"

@@ -20,7 +20,6 @@ import orric.atomic as atomic
 import orric.policies as policies
 from orric import (
     AccuracyModel,
-    Decision,
     InfeasibleError,
     ProfileSet,
     Trace,
@@ -47,6 +46,7 @@ from conftest import (
     FAMILY_POOL,
     count_calls,
     curve_spy,
+    decision_pairs,
     enumerate_optimal,
     naive_optimal_total,
     random_feasible_trace,
@@ -123,7 +123,7 @@ class TestEvaluateObjective:
         # full retraining in slot 1, best inference both slots
         trace = Trace(d=(1.0, 1.0), c=(15.0, 5.0), d_min=1.0, d_max=1.0)
         result = evaluate_objective(
-            (Decision(2, 2), Decision(1, 2)), trace, worked_profiles, worked_model
+            ((2, 2), (1, 2)), trace, worked_profiles, worked_model
         )
         assert result.per_slot_perf == pytest.approx((0.5, 0.8), abs=1e-15)
         assert result.total == pytest.approx(1.3, abs=1e-15)
@@ -131,7 +131,7 @@ class TestEvaluateObjective:
 
     def test_first_slot_has_no_history(self, worked_profiles, worked_model, worked_trace):
         result = evaluate_objective(
-            (Decision(2, 1), Decision(1, 2)), worked_trace, worked_profiles, worked_model
+            ((2, 1), (1, 2)), worked_trace, worked_profiles, worked_model
         )
         # slot 1 scores at f(0) regardless of its own retraining choice
         assert result.per_slot_perf[0] == pytest.approx(0.5 * 0.6, abs=1e-15)
@@ -141,19 +141,19 @@ class TestEvaluateObjective:
     def test_budget_enforced(self, worked_profiles, worked_model, worked_trace):
         with pytest.raises(InfeasibleError):
             evaluate_objective(
-                (Decision(2, 2), Decision(1, 2)), worked_trace, worked_profiles, worked_model
+                ((2, 2), (1, 2)), worked_trace, worked_profiles, worked_model
             )
 
     def test_length_and_index_validation(self, worked_profiles, worked_model, worked_trace):
         with pytest.raises(ValueError):
-            evaluate_objective((Decision(1, 1),), worked_trace, worked_profiles, worked_model)
+            evaluate_objective(((1, 1),), worked_trace, worked_profiles, worked_model)
         with pytest.raises(ValueError):
             evaluate_objective(
-                (Decision(3, 1), Decision(1, 1)), worked_trace, worked_profiles, worked_model
+                ((3, 1), (1, 1)), worked_trace, worked_profiles, worked_model
             )
         with pytest.raises(ValueError):
             evaluate_objective(
-                (Decision(1, 0), Decision(1, 1)), worked_trace, worked_profiles, worked_model
+                ((1, 0), (1, 1)), worked_trace, worked_profiles, worked_model
             )
         for malformed in (np.ones((2, 3), dtype=int), np.ones((2, 2)), ((1,), (1,))):
             with pytest.raises(ValueError, match="integer menu indices"):
@@ -163,13 +163,13 @@ class TestEvaluateObjective:
         ps = ProfileSet(retrain=[(0.0, 0.0), (1.0, 10.0)], infer=[(0.6, 2.0), (1.0, 5.0)])
         small = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 0.5)
         with pytest.raises(ValueError):
-            evaluate_objective((Decision(1, 1), Decision(1, 1)), worked_trace, ps, small)
+            evaluate_objective(((1, 1), (1, 1)), worked_trace, ps, small)
 
     def test_index_checked_before_budget(self, worked_profiles, worked_model, worked_trace):
         # slot 1 is over its budget and slot 2 has a bad index: the index is reported
         with pytest.raises(ValueError, match="slot 2: decision indices"):
             evaluate_objective(
-                (Decision(2, 2), Decision(3, 1)), worked_trace, worked_profiles, worked_model
+                ((2, 2), (3, 1)), worked_trace, worked_profiles, worked_model
             )
 
     def test_matches_per_slot_reference(self):
@@ -178,7 +178,7 @@ class TestEvaluateObjective:
                 result = scorer(decisions, trace, ps, model)
             except (ValueError, InfeasibleError) as exc:
                 return type(exc), str(exc)
-            return result.total, result.per_slot_perf, result.per_slot_budget_use, result.decisions
+            return result.total, result.per_slot_perf, result.per_slot_budget_use, decision_pairs(result)
 
         rng = np.random.default_rng(53)
         for horizon in (1, 2, 2000, *rng.integers(1, 2001, 37).tolist()):
@@ -190,14 +190,14 @@ class TestEvaluateObjective:
             used = [d_t * (ps.retrain[a].cost + ps.infer[b].cost) for d_t, a, b in zip(d, i, j)]
             # half the budgets sit exactly on the decision's cost under the scorer's test
             c = [u if rng.random() < 0.5 else u * rng.uniform(1.0, 1.5) for u in used]
-            decisions = tuple(Decision(a + 1, b + 1) for a, b in zip(i, j))
+            decisions = tuple((a + 1, b + 1) for a, b in zip(i, j))
             trace = Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
             expected = outcome(reference_objective, decisions, trace, ps, model)
             assert outcome(evaluate_objective, decisions, trace, ps, model) == expected
             assert isinstance(expected[0], float)
 
             k = int(rng.integers(horizon))
-            bad = Decision(ps.m + 1, 1) if rng.random() < 0.5 else Decision(1, 0)
+            bad = (ps.m + 1, 1) if rng.random() < 0.5 else (1, 0)
             bad_index = decisions[:k] + (bad,) + decisions[k + 1:]
             expected = outcome(reference_objective, bad_index, trace, ps, model)
             assert expected == (ValueError, f"slot {k + 1}: decision indices {bad} outside the menus")
@@ -213,16 +213,16 @@ class TestEvaluateObjective:
 class TestRunPolicy:
     def test_worked_totals(self, worked_profiles, worked_model, worked_trace):
         expected = {
-            "orric": (1.0, (Decision(1, 2), Decision(1, 2))),
-            "inference-only": (1.0, (Decision(1, 2), Decision(1, 2))),
-            "inference-greedy": (1.0, (Decision(1, 2), Decision(1, 2))),
-            "knowledge-distillation": (1.1, (Decision(2, 1), Decision(1, 2))),
-            "focus-shift": (1.1, (Decision(2, 1), Decision(1, 2))),
+            "orric": (1.0, ((1, 2), (1, 2))),
+            "inference-only": (1.0, ((1, 2), (1, 2))),
+            "inference-greedy": (1.0, ((1, 2), (1, 2))),
+            "knowledge-distillation": (1.1, ((2, 1), (1, 2))),
+            "focus-shift": (1.1, ((2, 1), (1, 2))),
         }
         for policy, (total, decisions) in expected.items():
             result = run_policy(policy, worked_trace, worked_profiles, worked_model)
             assert result.total == pytest.approx(total, abs=1e-12), policy
-            assert result.decisions == decisions, policy
+            assert decision_pairs(result) == decisions, policy
             assert result.policy == policy
 
     def test_distillation_reports_degraded_slots(
@@ -241,7 +241,7 @@ class TestRunPolicy:
             for policy in POLICIES:
                 result = run_policy(policy, trace, worked_profiles, worked_model)
                 again = evaluate_objective(
-                    result.decisions, trace, worked_profiles, worked_model
+                    decision_pairs(result), trace, worked_profiles, worked_model
                 )
                 assert again.total == result.total
 
@@ -270,7 +270,7 @@ class TestOfflineOptimal:
     def test_worked_instance(self, worked_profiles, worked_model, worked_trace):
         result = offline_optimal(worked_trace, worked_profiles, worked_model)
         assert result.total == pytest.approx(1.1, abs=1e-12)
-        assert result.decisions == (Decision(2, 1), Decision(1, 2))
+        assert decision_pairs(result) == ((2, 1), (1, 2))
         assert result.policy == "oracle"
         assert result.meta["enumerated_sequences"] == 4
         # slot 1 expands the empty prefix (2 states); both survive, so slot 2 expands 2 * 2
@@ -291,7 +291,7 @@ class TestOfflineOptimal:
         whole = enumerate_optimal(trace, worked_profiles, worked_model)
         chunked = enumerate_optimal(trace, worked_profiles, worked_model, chunk=5)
         assert chunked.total == whole.total
-        assert chunked.decisions == whole.decisions
+        assert decision_pairs(chunked) == decision_pairs(whole)
 
     def test_matches_enumeration_on_ties(self):
         # constant curves, constant volumes and budgets exactly on a pair's
@@ -305,7 +305,7 @@ class TestOfflineOptimal:
             horizon = trace.horizon
             oracle = offline_optimal(trace, ps, model)
             reference = enumerate_optimal(trace, ps, model)
-            assert oracle.decisions == reference.decisions
+            assert decision_pairs(oracle) == decision_pairs(reference)
             assert oracle.total == reference.total
             assert oracle.meta["enumerated_sequences"] == ps.m**horizon
             checked += 1
@@ -319,7 +319,7 @@ class TestOfflineOptimal:
             trace = random_feasible_trace(rng, ps, int(rng.integers(1, 7)))
             oracle = offline_optimal(trace, ps, model)
             reference = enumerate_optimal(trace, ps, model)
-            assert oracle.decisions == reference.decisions
+            assert decision_pairs(oracle) == decision_pairs(reference)
             assert oracle.total == reference.total
 
     def test_cap(self, worked_profiles, worked_model):
@@ -336,8 +336,8 @@ class TestOfflineOptimal:
             flat = make_model("constant", {"value": 0.7}, 1.0)
         trace = Trace(d=(1.0, 1.0, 1.0), c=(15.0, 15.0, 15.0), d_min=1.0, d_max=1.0)
         result = offline_optimal(trace, worked_profiles, flat)
-        assert all(dec.retrain_index == 1 for dec in result.decisions)
-        assert all(dec.infer_index == 2 for dec in result.decisions)
+        assert all(i == 1 for i in result.retrain_index)
+        assert all(j == 2 for j in result.infer_index)
 
     def test_repeated_states_collapse(self, worked_profiles):
         # on a flat curve every sequence with the same number of retraining
@@ -350,7 +350,7 @@ class TestOfflineOptimal:
         assert result.meta["frontier_peak"] == horizon + 1
         # slot t expands the t states left by slot t - 1, two choices each
         assert result.meta["states_expanded"] == sum(2 * t for t in range(1, horizon + 1))
-        assert result.decisions == (Decision(1, 2),) * horizon
+        assert decision_pairs(result) == ((1, 2),) * horizon
 
     def test_states_expanded_counts_the_frontier(self):
         # one slot expands only the empty prefix; over T slots each kept state is
@@ -517,14 +517,14 @@ class TestPickle:
         worked_trace._run_csv_columns
         trace, profiles, back = restore((worked_trace, worked_profiles, results))
         assert (trace, profiles, back) == (worked_trace, worked_profiles, results)
-        # only the results' indices come back; the caches are not carried
-        assert len(reachable_arrays((trace, profiles, back))) == len(results)
+        # no array comes back, not even with a result; the caches are not carried
+        assert reachable_arrays((trace, profiles, back)) == []
         with pytest.raises(ValueError):
             trace.arrays.d[0] = 2.0
         assert solve(trace, profiles, worked_model) == expected
-        # the trace's columns, fit table and schedule, the menus' columns and the indices
+        # the trace's columns, fit table and schedule and the menus' columns
         arrays = reachable_arrays((trace, profiles, back))
-        assert len(arrays) >= 4 + 1 + 3 + 4 + len(results)
+        assert len(arrays) >= 4 + 1 + 3 + 4
         assert not any(array.flags.writeable for array in arrays)
 
     def test_result_is_unequal_to_other_types(self, worked_profiles, worked_model, worked_trace):
@@ -562,7 +562,7 @@ class TestCurveCalls:
         for _ in range(200):
             ps, model, trace = top_retraining_instance(rng)
             spy, calls = curve_spy(model)
-            top = [Decision(ps.m, ps.n)] * trace.horizon
+            top = [(ps.m, ps.n)] * trace.horizon
             assert evaluate_objective(top, trace, ps, spy) == evaluate_objective(top, trace, ps, model)
             assert offline_optimal(trace, ps, spy) == offline_optimal(trace, ps, model)
             assert inside_domain(calls, model)
@@ -615,13 +615,13 @@ class TestBudgetBoundary:
         c = 0.7 + 0.1  # 0.7999999999999999: the scorer's D * (c_i + c_j) for the top pair
         trace = Trace(d=(1.0, 1.0), c=(c, c), d_min=1.0, d_max=1.0)
         oracle = offline_optimal(trace, ps, model)
-        assert oracle.decisions == (Decision(2, 1), Decision(1, 1))
+        assert decision_pairs(oracle) == ((2, 1), (1, 1))
         assert oracle.total == pytest.approx(1.15, abs=1e-12)
         for policy in POLICIES:
             result = run_policy(policy, trace, ps, model)
             assert result.total <= oracle.total, policy
         kd = run_policy(KNOWLEDGE_DISTILLATION, trace, ps, model)
-        assert kd.decisions == (Decision(2, 1), Decision(2, 1))
+        assert decision_pairs(kd) == ((2, 1), (2, 1))
         assert kd.meta["degraded_slots"] == []
 
     @settings(max_examples=60, deadline=None)
@@ -818,6 +818,22 @@ class TestRunCSV:
         assert lines[1] == "1,2,1,12,0.3,0.3,12,12"
         assert lines[2] == "2,1,2,5,0.8,1.1,5,5"
 
+    def test_index_columns_are_the_run_csv_columns(self, tmp_path, worked_profiles, worked_model, worked_trace):
+        rng = np.random.default_rng(73)
+        instances = [(worked_trace, worked_profiles, worked_model)]
+        for _ in range(30):
+            ps = random_profileset(rng, max_m=5, max_n=5)
+            instances.append((random_feasible_trace(rng, ps, int(rng.integers(1, 7))), ps, random_model(rng, 1.0)))
+        for trace, ps, model in instances:
+            for result in solve(trace, ps, model):
+                write_run_csv(tmp_path / "run.csv", result, trace)
+                rows = [line.split(",") for line in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+                assert result.retrain_index == tuple(int(row[1]) for row in rows), result.policy
+                assert result.infer_index == tuple(int(row[2]) for row in rows), result.policy
+                # and they are the pairs the run was scored on: the per-slot reference rescores them to the result
+                again = reference_objective(decision_pairs(result), trace, ps, model)
+                assert again == replace(result, policy="", meta={}), result.policy
+
     def test_templates_match_f_string_reference(self, tmp_path):
         # values where .12g output is easy to get wrong: signed zero, subnormals,
         # large integers, and both sides of the switch to exponent form
@@ -837,13 +853,12 @@ class TestRunCSV:
             model = random_model(rng, 1.0)
             trace = random_feasible_trace(rng, ps, int(rng.integers(1, 400)))
             result = run_policy(POLICIES[k % len(POLICIES)], trace, ps, model)
-            # a Decision tuple and the index array are the same scorer input
-            assert result.indices.dtype.kind == "i" and not result.indices.flags.writeable
-            assert result.decisions == tuple(Decision(*row) for row in result.indices.tolist())
-            assert np.array_equal(np.array(result.decisions), result.indices)
-            by_tuple = evaluate_objective(result.decisions, trace, ps, model)
-            assert by_tuple == evaluate_objective(result.indices, trace, ps, model)
-            assert by_tuple.decisions == result.decisions
+            # (retrain, infer) pairs and the index array are the same scorer input, and the index columns hold ints
+            pairs = decision_pairs(result)
+            assert all(type(k) is int for k in result.retrain_index + result.infer_index)
+            by_tuple = evaluate_objective(pairs, trace, ps, model)
+            assert by_tuple == evaluate_objective(np.array(pairs), trace, ps, model)
+            assert decision_pairs(by_tuple) == pairs
 
             horizon = trace.horizon
             d = rng.choice([1e-5, 0.1, 1.0, 3.0, 7.0, 1e12], horizon)

@@ -17,7 +17,6 @@ from orric import (
     KNOWLEDGE_DISTILLATION,
     ORRIC,
     POLICIES,
-    Decision,
     InfeasibleError,
     ProfileSet,
     Trace,
@@ -28,10 +27,10 @@ from orric import (
     run_policy,
 )
 from orric.policies import weight_schedule
-from conftest import random_model, random_profileset
+from conftest import decision_pairs, random_model, random_profileset
 
 
-def brute_force_step(v: float, w: float, u: float, profiles: ProfileSet) -> Decision:
+def brute_force_step(v: float, w: float, u: float, profiles: ProfileSet) -> tuple[int, int]:
     """All-pairs maximizer with the documented scan-order tie rule.
 
     It checks the fit-table rule at d = 1, which scores each i ascending
@@ -47,14 +46,14 @@ def brute_force_step(v: float, w: float, u: float, profiles: ProfileSet) -> Deci
             if rcfg.cost + icfg.cost <= u:
                 value = v * rcfg.gain + w * icfg.profit
                 if value > best_value:
-                    best, best_value = Decision(i + 1, j + 1), value
+                    best, best_value = (i + 1, j + 1), value
                 break
     if best is None:
         raise InfeasibleError("no pair fits")
     return best
 
 
-def enumerated_decision(policy, d, c, t, horizon, prices, profiles) -> Decision:
+def enumerated_decision(policy, d, c, t, horizon, prices, profiles) -> tuple[int, int]:
     """One slot of a policy by exhaustive pair enumeration under the scorer's test.
 
     A pair (i, j) fits when d * (c_i + c_j) <= c, the expression
@@ -90,7 +89,7 @@ def enumerated_decision(policy, d, c, t, horizon, prices, profiles) -> Decision:
         share = rho * (c / d - profiles.min_infer_cost)
         i = max((a for a, _ in pairs if rc[a] <= share), default=0)
         j = best_j(i)
-    return Decision(i + 1, j + 1)
+    return (i + 1, j + 1)
 
 
 class TestFitTable:
@@ -117,7 +116,7 @@ class TestFitTable:
                     enumerated_decision(policy, trace.d[t], trace.c[t], t + 1, horizon, schedule[t], ps)
                     for t in range(horizon)
                 )
-                assert run_policy(policy, trace, ps, model).decisions == expected, policy
+                assert decision_pairs(run_policy(policy, trace, ps, model)) == expected, policy
 
 
 class TestStepInputs:
@@ -222,7 +221,7 @@ class TestComputeWeights:
 
 class TestOrricStep:
     def test_worked_explicit_weights(self, worked_profiles):
-        assert orric_step(0.5, 1.0, 12.0, worked_profiles) == Decision(2, 1)
+        assert orric_step(0.5, 1.0, 12.0, worked_profiles) == (2, 1)
 
     def test_worked_schedule_weights_prefer_inference(self, worked_profiles, worked_model):
         # the first-slot schedule prices gain low enough that the
@@ -230,7 +229,7 @@ class TestOrricStep:
         v, w, _ = compute_weights(1, 2, worked_model, 1.0, 1.0, 0.6)
         assert v == pytest.approx(0.18, abs=1e-15)
         assert w == pytest.approx(0.5, abs=1e-15)
-        assert orric_step(v, w, 12.0, worked_profiles) == Decision(1, 2)
+        assert orric_step(v, w, 12.0, worked_profiles) == (1, 2)
 
     def test_budget_must_be_set(self, worked_profiles):
         # u is a required argument; one that is not a number is no budget
@@ -247,7 +246,7 @@ class TestOrricStep:
         v, w, u = 0.5, 1.0, 5.0
         assert 0.5 * 1.0 + 1.0 * 0.0 != 1.0  # guard against rewriting the setup
         assert v * 1.0 + w * 0.5 == v * 0.0 + w * 1.0 == 1.0
-        assert orric_step(v, w, u, ps) == Decision(1, 2)
+        assert orric_step(v, w, u, ps) == (1, 2)
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(17)
@@ -288,26 +287,26 @@ class TestHeuristics:
             heuristic_step(INFERENCE_GREEDY, 3, 2, 12.0, worked_profiles)
 
     def test_inference_only_ignores_retraining(self, worked_profiles):
-        assert heuristic_step(INFERENCE_ONLY, 1, 2, 12.0, worked_profiles) == Decision(1, 2)
-        assert heuristic_step(INFERENCE_ONLY, 1, 2, 4.0, worked_profiles) == Decision(1, 1)
+        assert heuristic_step(INFERENCE_ONLY, 1, 2, 12.0, worked_profiles) == (1, 2)
+        assert heuristic_step(INFERENCE_ONLY, 1, 2, 4.0, worked_profiles) == (1, 1)
 
     def test_inference_greedy_tops_up(self, worked_profiles):
         # best inference costs 5, remainder 7 only fits the no-op
-        assert heuristic_step(INFERENCE_GREEDY, 1, 2, 12.0, worked_profiles) == Decision(1, 2)
-        assert heuristic_step(INFERENCE_GREEDY, 1, 2, 15.0, worked_profiles) == Decision(2, 2)
+        assert heuristic_step(INFERENCE_GREEDY, 1, 2, 12.0, worked_profiles) == (1, 2)
+        assert heuristic_step(INFERENCE_GREEDY, 1, 2, 15.0, worked_profiles) == (2, 2)
 
     def test_distillation_puts_retraining_first(self, worked_profiles):
-        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 12.0, worked_profiles) == Decision(2, 1)
-        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 15.0, worked_profiles) == Decision(2, 2)
-        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 11.0, worked_profiles) == Decision(1, 2)
+        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 12.0, worked_profiles) == (2, 1)
+        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 15.0, worked_profiles) == (2, 2)
+        assert heuristic_step(KNOWLEDGE_DISTILLATION, 1, 2, 11.0, worked_profiles) == (1, 2)
 
     def test_focus_shift_ramps_down(self, worked_profiles):
         # t = 1 of 2: full retraining share; t = 2: none
-        assert heuristic_step(FOCUS_SHIFT, 1, 2, 12.0, worked_profiles) == Decision(2, 1)
-        assert heuristic_step(FOCUS_SHIFT, 2, 2, 12.0, worked_profiles) == Decision(1, 2)
+        assert heuristic_step(FOCUS_SHIFT, 1, 2, 12.0, worked_profiles) == (2, 1)
+        assert heuristic_step(FOCUS_SHIFT, 2, 2, 12.0, worked_profiles) == (1, 2)
 
     def test_focus_shift_single_slot(self, worked_profiles):
-        assert heuristic_step(FOCUS_SHIFT, 1, 1, 12.0, worked_profiles) == Decision(1, 2)
+        assert heuristic_step(FOCUS_SHIFT, 1, 1, 12.0, worked_profiles) == (1, 2)
 
     def test_focus_shift_interior_share(self):
         ps = ProfileSet(
@@ -315,7 +314,7 @@ class TestHeuristics:
             infer=[(0.5, 1.0), (1.0, 3.0)],
         )
         # t = 3 of 5: rho = 0.5, share = 0.5 * (10 - 1) = 4.5 fits cost 4
-        assert heuristic_step(FOCUS_SHIFT, 3, 5, 10.0, ps) == Decision(3, 2)
+        assert heuristic_step(FOCUS_SHIFT, 3, 5, 10.0, ps) == (3, 2)
 
     def test_infeasible_budget(self, worked_profiles):
         for policy in HEURISTICS:
@@ -330,6 +329,6 @@ class TestHeuristics:
             horizon = int(rng.integers(1, 9))
             t = int(rng.integers(1, horizon + 1))
             for policy in HEURISTICS:
-                dec = heuristic_step(policy, t, horizon, u, ps)
-                used = ps.retrain[dec.retrain_index - 1].cost + ps.infer[dec.infer_index - 1].cost
+                i, j = heuristic_step(policy, t, horizon, u, ps)
+                used = ps.retrain[i - 1].cost + ps.infer[j - 1].cost
                 assert used <= u + 1e-12

@@ -269,13 +269,34 @@ CATALOGUE = {
     # above d_max and an infinite capacity pass
     "trace-columns-no-upper": Mutant(
         "src/orric/engine.py",
-        "if not lo <= x <= top:",
-        "if not lo <= x:",
+        "or not lo <= x <= top:",
+        "or not lo <= x:",
         (
             "tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",
             "tests/test_engine.py::TestTrace::test_validation",
             "tests/test_engine.py::TestTrace::test_non_finite_rejected",
         ),
+    ),
+    # the column pass compares a cell in place only when its type is a number's: a bool is an int to isinstance
+    "trace-columns-pass-bool": Mutant(
+        "src/orric/engine.py",
+        "if type(x) not in _PLAIN or",
+        "if not isinstance(x, _PLAIN) or",
+        ("tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",),
+    ),
+    # a result's retraining column holds the first index of each pair, its inference column the second
+    "result-columns-swapped": Mutant(
+        "src/orric/engine.py",
+        "retrain_index=tuple(index[:, 0].tolist()),\n        infer_index=tuple(index[:, 1].tolist()),",
+        "retrain_index=tuple(index[:, 1].tolist()),\n        infer_index=tuple(index[:, 0].tolist()),",
+        ("tests/test_engine.py::TestRunCSV::test_index_columns_are_the_run_csv_columns",),
+    ),
+    # a replay spec's sampling_ratios must be a JSON list, not any value that iterates
+    "replay-spec-ratios-any-value": Mutant(
+        "src/orric/scenario.py",
+        'json_list(spec["sampling_ratios"], "sampling_ratios")',
+        "pass",
+        ("tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",),
     ),
     # a capacity field the law does not take must be refused, not silently ignored
     "law-takes-any-field": Mutant(
