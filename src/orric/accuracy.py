@@ -27,8 +27,6 @@ __all__ = [
     "linear_bound_holds",
     "load_model",
     "save_model",
-    "model_from_dict",
-    "model_to_dict",
 ]
 
 _GRID_POINTS = 1024
@@ -201,23 +199,11 @@ def linear_bound_holds(model: AccuracyModel) -> bool:
     return bool(np.all(model.eval(xs) <= model.L * xs + model.g_at_max + _SHAPE_TOL))
 
 
-def model_to_dict(model: AccuracyModel) -> dict:
-    return {
-        "family": model.family,
-        "params": dict(model.params),
-        "domain_max": model.domain_max,
-        "L": model.L,
-    }
-
-
-def model_from_dict(data: Mapping) -> AccuracyModel:
-    json_object(data, "model spec", ("family", "params", "domain_max"), ("L",))
+def load_model(path) -> AccuracyModel:
+    data = json_object(read_json(path, "model spec"), "model spec", ("family", "params", "domain_max"), ("L",))
     return make_model(data["family"], data["params"], data["domain_max"], L_override=data.get("L"))
 
 
-def load_model(path) -> AccuracyModel:
-    return model_from_dict(read_json(path, "model spec"))
-
-
 def save_model(path, model: AccuracyModel) -> None:
-    write_atomic(path, json.dumps(model_to_dict(model), indent=2) + "\n")
+    payload = {"family": model.family, "params": dict(model.params), "domain_max": model.domain_max, "L": model.L}
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")

@@ -117,21 +117,17 @@ def bounds_report(
     return report
 
 
-def build_io_tight_instance(
-    model: AccuracyModel,
-    profiles: ProfileSet,
-    horizon: int,
-    d: float = 1000.0,
-) -> Trace:
+def build_io_tight_instance(model: AccuracyModel, profiles: ProfileSet, horizon: int) -> Trace:
     """Constant trace on which inference-only meets its ratio ceiling.
 
-    The sufficient law at constant volume d: capacity admits the most
+    The sufficient law at TraceSpec's default constant volume, which the
+    ratio does not depend on: capacity admits the most
     expensive retraining and inference pair in every slot, so the oracle
     buys full gain once and rides f(max_gain) afterwards while
     inference-only stays at f(0) forever. Requires the menu top gain to
     equal the curve domain, so that single purchase reaches the curve's
     end.
     """
-    spec = TraceSpec(horizon=horizon, d_lo=d, c_law="sufficient")
+    spec = TraceSpec(horizon=horizon, c_law="sufficient")
     _check_consistent(model, profiles)
     return generate_trace(spec, profiles)

@@ -131,8 +131,9 @@ def _execute_run(out_dir: Path, profiles, model, trace, policies, oracle_cap: in
         csv_name = f"{name}.csv"
         write_run_csv(out_dir / csv_name, result, trace)
         entry: dict = {"total": result.total, "csv": csv_name}
-        if name == KNOWLEDGE_DISTILLATION:
-            entry["degraded_slot_count"] = len(result.meta.get("degraded_slots", ()))
+        if name == KNOWLEDGE_DISTILLATION:  # the slots that run any pair but the top one
+            pairs = list(zip(result.retrain_index, result.infer_index))
+            entry["degraded_slot_count"] = trace.horizon - pairs.count((profiles.m, profiles.n))
         summary["policies"][name] = entry
         totals[name] = result.total
 
@@ -178,7 +179,7 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_prune(args) -> int:
     retrain, infer = read_menus(args.profiles)
-    profiles = prune_dominated(retrain, infer, auto_insert_zero=not args.no_auto_zero)
+    profiles = prune_dominated(retrain, infer)
     save_profiles(args.out, profiles)
     inserted = profiles.retrain[0] not in retrain  # a pruned menu starts with the no-op entry, inserted if missing
     removed = len(retrain) + inserted + len(infer) - (profiles.m + profiles.n)
@@ -290,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="dominance-prune a profile file")
     p.add_argument("--profiles", required=True)
     p.add_argument("--out", required=True, help="output profile JSON")
-    p.add_argument("--no-auto-zero", action="store_true",
-                   help="fail instead of inserting the free no-op retraining entry")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("run", help="run policies over a trace and write per-slot CSVs plus a summary")
@@ -330,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="replay spec JSON (alternative to the label)")
     p.add_argument("--T", type=_horizon, default=None)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--kappa", type=_finite, default=None)
+    p.add_argument("--kappa", type=_finite, default=None,
+                   help="train_cost_multiplier: student training passes per retraining sample (spec default 3)")
     p.add_argument("--f-at-max", type=_finite, default=None)
     p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("--oracle-cap", type=_non_negative, default=_ORACLE_CAP, help=_CAP_HELP)

@@ -29,13 +29,7 @@ import numpy as np
 from .accuracy import _DOMAIN_TOL, AccuracyModel
 from .atomic import write_csv
 from .errors import InfeasibleError, finite_number, integer, read_csv, volume_bounds
-from .policies import (
-    KNOWLEDGE_DISTILLATION,
-    ORRIC,
-    fit_table,
-    table_decisions,
-    weight_schedule,
-)
+from .policies import ORRIC, fit_table, table_decisions, weight_schedule
 from .profiles import ProfileSet
 
 __all__ = [
@@ -148,7 +142,8 @@ class RunResult:
     """A scored decision sequence: the run CSV's per-slot columns and their total.
 
     retrain_index and infer_index hold each slot's 1-based menu indices,
-    per_slot_perf and per_slot_budget_use its score and compute use.
+    per_slot_perf and per_slot_budget_use its score and compute use;
+    meta holds the oracle's counts and is empty for a policy's run.
     """
 
     retrain_index: tuple[int, ...]
@@ -156,7 +151,6 @@ class RunResult:
     per_slot_perf: tuple[float, ...]
     total: float
     per_slot_budget_use: tuple[float, ...]
-    policy: str = ""
     meta: dict = field(default_factory=dict)
 
 
@@ -251,13 +245,6 @@ def evaluate_objective(
     )
 
 
-def _labelled(result: RunResult, policy: str, meta: dict) -> RunResult:
-    """Name a fresh result from evaluate_objective in place, which costs less than dataclasses.replace's rebuild."""
-    object.__setattr__(result, "policy", policy)
-    object.__setattr__(result, "meta", meta)
-    return result
-
-
 def run_policy(
     policy: str,
     trace: Trace,
@@ -278,11 +265,7 @@ def run_policy(
     schedule = _schedule(trace, profiles, model) if policy == ORRIC else None
     indices = table_decisions(policy, jbest, np.arange(1, horizon + 1), horizon,
                               trace.arrays.u, profiles, schedule)
-    meta: dict = {}
-    if policy == KNOWLEDGE_DISTILLATION:
-        top = (profiles.m, profiles.n)
-        meta["degraded_slots"] = (np.flatnonzero((indices != top).any(axis=1)) + 1).tolist()
-    return _labelled(evaluate_objective(indices, trace, profiles, model), policy, meta)
+    return evaluate_objective(indices, trace, profiles, model)
 
 
 def offline_optimal(
@@ -357,8 +340,9 @@ def offline_optimal(
     for t in range(horizon - 1, -1, -1):
         k, choice[t] = divmod(int(trail[t][k]), m)
     indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-    meta = {"enumerated_sequences": m**horizon, "frontier_peak": peak, "states_expanded": expanded}
-    return _labelled(evaluate_objective(indices, trace, profiles, model), "oracle", meta)
+    result = evaluate_objective(indices, trace, profiles, model)
+    result.meta.update(enumerated_sequences=m**horizon, frontier_peak=peak, states_expanded=expanded)
+    return result
 
 
 def mixture_gap(f: Callable[[float], float], x1, x2, y1, y2, alpha: float) -> float:

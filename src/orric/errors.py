@@ -87,9 +87,9 @@ def json_object(value, where: str, required, optional=()):
     return value
 
 
-def json_list(value, where: str) -> list:
-    """value when it is a list, else a ValueError that names where it sits."""
-    if not isinstance(value, list):
+def json_list(value, where: str) -> list | tuple:
+    """value when it is a list (a JSON array) or a tuple, else a ValueError that names where it sits."""
+    if not isinstance(value, (list, tuple)):
         raise ValueError(f"{where} must be a list")
     return value
 

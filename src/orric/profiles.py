@@ -176,16 +176,12 @@ def _dominance_prune(configs, payoff):
     return tuple(kept)
 
 
-def prune_dominated(
-    raw_retrain: Iterable,
-    raw_infer: Iterable,
-    auto_insert_zero: bool = True,
-) -> ProfileSet:
+def prune_dominated(raw_retrain: Iterable, raw_infer: Iterable) -> ProfileSet:
     """Drop dominated entries from both menus and assemble a ProfileSet.
 
     An entry is dominated when another entry costs no more and pays at
-    least as much. With ``auto_insert_zero`` the free no-op retraining
-    entry is added when missing; otherwise its absence is an error.
+    least as much. The free no-op retraining entry is added when missing;
+    ProfileSet itself refuses a retraining menu that lacks it.
     """
     retrain = [_coerce(e, RetrainConfig) for e in raw_retrain]
     infer = [_coerce(e, InferConfig) for e in raw_infer]
@@ -196,10 +192,6 @@ def prune_dominated(
                 f"retraining gain must cost compute; got gain {entry.gain} at cost 0"
             )
     if _NO_OP not in retrain:
-        if not auto_insert_zero:
-            raise ValueError(
-                "retraining menu lacks the (gain 0, cost 0) entry and auto-insertion is disabled"
-            )
         retrain.append(_NO_OP)
     return ProfileSet(
         retrain=_dominance_prune(retrain, lambda e: e.gain),

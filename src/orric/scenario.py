@@ -131,7 +131,7 @@ class ReplaySpec:
     """Replay of the image-classification deployment.
 
     Retraining cost per sample is ratio * (teacher labeling pass plus
-    train_cost_multiplier student passes per epoch) at full resolution;
+    train_cost_multiplier student training passes) at full resolution;
     gains are those costs normalized so the top entry buys gain 1.
     f_at_max, the accuracy that full retraining reaches, defaults to the
     student's clean accuracy at the costliest inference entry the
@@ -142,7 +142,6 @@ class ReplaySpec:
     corruption: str
     sampling_ratios: tuple[float, ...] = SAMPLING_RATIOS
     train_cost_multiplier: float = 3.0
-    epochs_per_slot: int = 1
     f_at_max: float | None = None
     L: float = 0.01
     horizon: int = 100
@@ -150,16 +149,12 @@ class ReplaySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            entries = list(enumerate(self.sampling_ratios, 1))
-        except TypeError:
-            raise ValueError(f"sampling_ratios must be a list of finite numbers, got {self.sampling_ratios!r}") from None
-        ratios = tuple(finite_number(r, f"sampling_ratios entry {k}", lo=0.0) for k, r in entries)
+        ratios = tuple(finite_number(r, f"sampling_ratios entry {k}", lo=0.0)
+                       for k, r in enumerate(json_list(self.sampling_ratios, "sampling_ratios"), 1))
         object.__setattr__(self, "sampling_ratios", ratios)
         if not ratios or max(ratios) <= 0.0:
             raise ValueError("sampling_ratios needs at least one positive entry")
         finite_number(self.train_cost_multiplier, "train_cost_multiplier", above=0.0)
-        integer(self.epochs_per_slot, "epochs_per_slot", 1)
         if self.f_at_max is not None:  # None picks the corruption's default
             finite_number(self.f_at_max, "f_at_max")
         finite_number(self.L, "L", lo=0.0)
@@ -213,7 +208,7 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
         for row in sorted(load_compute_table(), key=lambda row: row["resolution"])
     }
     student_full, teacher_full = full_macs[STUDENT_MODEL], full_macs[TEACHER_MODEL]
-    per_unit = teacher_full + spec.epochs_per_slot * spec.train_cost_multiplier * student_full
+    per_unit = teacher_full + spec.train_cost_multiplier * student_full
     costs = [ratio * per_unit for ratio in spec.sampling_ratios]
     beta = 1.0 / max(costs)
     retrain = [RetrainConfig(gain=cost * beta, cost=cost) for cost in costs]
@@ -253,7 +248,4 @@ def build_replay(spec: ReplaySpec) -> tuple[ProfileSet, AccuracyModel, TraceSpec
 def load_replay_spec(path) -> ReplaySpec:
     """Read a ReplaySpec from a JSON object of its fields, of which only corruption is required."""
     corruption, *optional = (spec_field.name for spec_field in fields(ReplaySpec))
-    spec = json_object(read_json(path, "replay spec"), "replay spec", (corruption,), optional)
-    if "sampling_ratios" in spec:
-        json_list(spec["sampling_ratios"], "sampling_ratios")
-    return ReplaySpec(**spec)
+    return ReplaySpec(**json_object(read_json(path, "replay spec"), "replay spec", (corruption,), optional))

@@ -219,7 +219,7 @@ def enumerate_optimal(trace, profiles, model, chunk: int = 1 << 16):
         (int(i) + 1, int(jbest[t, i]) + 1) for t, i in enumerate(best_digits)
     )
     result = evaluate_objective(decisions, trace, profiles, model)
-    return replace(result, policy="oracle", meta={"enumerated_sequences": total_sequences})
+    return replace(result, meta={"enumerated_sequences": total_sequences})
 
 
 class _CompensatedSum:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -15,8 +16,6 @@ from orric import (
     linear_bound_holds,
     load_model,
     make_model,
-    model_from_dict,
-    model_to_dict,
     save_model,
 )
 from conftest import FAMILY_POOL, random_model
@@ -224,11 +223,16 @@ class TestSerialization:
         back = load_model(path)
         assert back == m
 
-    def test_dict_round_trip_default_L(self):
+    def test_dict_round_trip_default_L(self, tmp_path):
         m = make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
-        back = model_from_dict(model_to_dict(m))
-        assert back == m
+        path = tmp_path / "model.json"
+        save_model(path, m)
+        assert json.loads(path.read_text()) == {"family": "linear", "params": {"intercept": 0.5, "slope": 0.3},
+                                                "domain_max": 1.0, "L": 0.3}
+        assert load_model(path) == m
 
-    def test_missing_key(self):
-        with pytest.raises(ValueError):
-            model_from_dict({"family": "linear", "params": {}})
+    def test_missing_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "linear", "params": {}}))
+        with pytest.raises(ValueError, match="missing 'domain_max'$"):
+            load_model(path)

@@ -124,10 +124,10 @@ class TestTightInstance:
         assert io.total / oracle.total == pytest.approx(10.0 / 13.0, abs=1e-9)
 
     def test_shape(self, worked_profiles, worked_model):
-        trace = build_io_tight_instance(worked_model, worked_profiles, 3, d=500.0)
-        assert trace.d == (500.0, 500.0, 500.0)
-        assert trace.c == tuple([500.0 * worked_profiles.top_pair_cost] * 3)
-        assert trace.d_min == trace.d_max == 500.0
+        trace = build_io_tight_instance(worked_model, worked_profiles, 3)
+        assert trace.d == (1000.0, 1000.0, 1000.0)
+        assert trace.c == tuple([1000.0 * worked_profiles.top_pair_cost] * 3)
+        assert trace.d_min == trace.d_max == 1000.0
 
     def test_requires_consistent_domain(self, worked_model):
         ps = ProfileSet(retrain=[(0.0, 0.0), (0.5, 10.0)], infer=[(0.6, 2.0), (1.0, 5.0)])

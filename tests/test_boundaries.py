@@ -52,7 +52,6 @@ INTEGER_ENTRIES = {
     "TraceSpec.seed": (lambda v: TraceSpec(horizon=2, seed=v), "seed", 0, SEED_MAX),
     "ReplaySpec.horizon": (lambda v: ReplaySpec("fog", horizon=v), "horizon", 1, None),
     "ReplaySpec.seed": (lambda v: ReplaySpec("fog", seed=v), "seed", 0, SEED_MAX),
-    "ReplaySpec.epochs_per_slot": (lambda v: ReplaySpec("fog", epochs_per_slot=v), "epochs_per_slot", 1, None),
     "weight_schedule.horizon": (lambda v: weight_schedule(v, MODEL, 1.0, 1.0, 0.6), "horizon", 1, None),
     "compute_bounds.horizon": (lambda v: compute_bounds(MODEL, PROFILES, 1.0, 1.0, v), "horizon", 1, None),
     "nonconvexity_witness.grid_points": (
@@ -254,7 +253,7 @@ MENU_KEYS = "profile JSON must be an object with optional keys 'retrain', 'infer
 CURVE_KEYS = "model spec must be an object with keys 'family', 'params', 'domain_max' and optional keys 'L', "
 PARAMS_KEYS = "curve params must be an object with keys 'intercept', 'slope', "
 SPEC_KEYS = ("replay spec must be an object with keys 'corruption' and optional keys 'sampling_ratios', "
-             "'train_cost_multiplier', 'epochs_per_slot', 'f_at_max', 'L', 'horizon', 'data_per_slot', 'seed', ")
+             "'train_cost_multiplier', 'f_at_max', 'L', 'horizon', 'data_per_slot', 'seed', ")
 # file name: (the command that reads it, the JSON value it holds, the refusal, which names the object and the key)
 JSON_FILES = {
     "menu-list.json": ("prune", [MENU], MENU_KEYS + f"got {[MENU]!r}"),
@@ -275,10 +274,17 @@ JSON_FILES = {
     "spec-list.json": ("replay-spec", ["fog"], SPEC_KEYS + "got ['fog']"),
     "spec-no-corruption.json": ("replay-spec", {"horizon": 2}, SPEC_KEYS + "missing 'corruption'"),
     "spec-horizn.json": ("replay-spec", {"corruption": "fog", "horizn": 2}, SPEC_KEYS + "got unknown key 'horizn'"),
+    # retraining's per-sample cost has one knob, train_cost_multiplier
+    "spec-epochs.json": ("replay-spec", {"corruption": "fog", "epochs_per_slot": 2},
+                         SPEC_KEYS + "got unknown key 'epochs_per_slot'"),
     **{f"spec-ratios-{kind}.json": ("replay-spec", {"corruption": "fog", "sampling_ratios": value},
                                     "sampling_ratios must be a list")
        for kind, value in (("text", "01"), ("object", {"a": 1}), ("number", 0.5))},
 }
+# a library caller's sampling_ratios must be a list or a tuple, as a spec file's must be a JSON list; each of
+# these was read as any iterable, and built ratios or was refused entry by entry
+NOT_A_LIST = {"bytes": b"\x00\x01", "set": {0.0, 1.0}, "generator": (r for r in (0.0, 1.0)), "range": range(2),
+              "text": "01", "object": {"a": 1}, "number": 0.5}
 TABLE_HEAD = "model,resolution,macs_m,latency_us,corruption,accuracy\n"
 # a compute table's text: its refusal
 TABLE_TEXTS = {
@@ -423,6 +429,9 @@ def boundary_cases():
         yield pytest.param(file_error(name, command, text), message, id=f"{command} {name}")
     for name, (command, value, message) in JSON_FILES.items():
         yield pytest.param(file_error(name, command, json.dumps(value)), message, id=f"{command} {name}")
+    for kind, value in NOT_A_LIST.items():
+        yield pytest.param(raised(lambda v: ReplaySpec("fog", sampling_ratios=v), value),
+                           "sampling_ratios must be a list", id=f"ReplaySpec.sampling_ratios {kind}")
     for text, message in TABLE_TEXTS.items():
         yield pytest.param(table_error(text), message, id=f"compute table: {message}")
     for (column, k, value), message in TRACE_SLOTS.items():
@@ -469,6 +478,11 @@ def test_trace_closed_bounds_pass(d, c, bounds):
     # each column's comparison is closed: a volume on a declared bound and a capacity of -0.0 are in range
     trace = Trace(d, c, *bounds)
     assert (trace.d, trace.c) == (d, c)
+
+
+@pytest.mark.parametrize("ratios", [[0, 1.0], (0, 1.0)], ids=["list", "tuple"])
+def test_ratio_sequences_pass(ratios):
+    assert ReplaySpec("fog", sampling_ratios=ratios).sampling_ratios == (0.0, 1.0)
 
 
 def test_rules_return_plain_numbers():

@@ -134,7 +134,10 @@ class TestPrune:
         }))
         rc = main(["prune", "--profiles", str(raw), "--no-auto-zero",
                    "--out", str(tmp_path / "o.json")])
+        # the flag is gone: every menu reader completes the retraining menu with the no-op entry
         assert rc == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --no-auto-zero\n"
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("menus", [
         {"retrain": [[0.0, 0.0], [0.5, 3.0]], "infer": [{"profit": 1.0, "cost": 1.0}]},
@@ -182,6 +185,22 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "orric: 1" in stdout
         assert "oracle: 1.1" in stdout
+
+    def test_degraded_slot_count_reads_the_index_columns(self, tmp_path, worked_files):
+        # budgets 15, 12 and 5 make knowledge-distillation run the top pair (2, 2), then (2, 1), then (1, 2):
+        # a degraded slot is any pair but the top one, whichever index falls short
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,d,c\n1,1,15\n2,1,12\n3,1,5\n")
+        out = tmp_path / "run"
+        assert main(["run", "--profiles", str(worked_files / "profiles.json"),
+                     "--model", str(worked_files / "model.json"), "--trace", str(trace), "--out", str(out)]) == 0
+        rows = [line.split(",")[1:3] for line in (out / "knowledge-distillation.csv").read_text().splitlines()[1:]]
+        assert rows == [["2", "2"], ["2", "1"], ["1", "2"]]
+        summary = json.loads((out / "summary.json").read_text())
+        count = summary["policies"]["knowledge-distillation"]["degraded_slot_count"]
+        assert count == sum(row != ["2", "2"] for row in rows) == 2
+        assert all("degraded_slot_count" not in entry
+                   for name, entry in summary["policies"].items() if name != "knowledge-distillation")
 
     def test_ratio_consistency(self, tmp_path, worked_files):
         out = tmp_path / "run"
@@ -796,8 +815,6 @@ class TestReplayCommand:
         ("horizon", 2.5, "horizon must be an integer >= 1, got 2.5"),
         ("horizon", "2", "horizon must be an integer >= 1, got '2'"),
         ("horizon", True, "horizon must be an integer >= 1, got True"),
-        ("epochs_per_slot", 1.5, "epochs_per_slot must be an integer >= 1, got 1.5"),
-        ("epochs_per_slot", True, "epochs_per_slot must be an integer >= 1, got True"),
         ("seed", -1, f"seed must be in 0..{2**128 - 1}, got -1"),
         ("seed", 2**128, f"seed must be in 0..{2**128 - 1}, got {2**128}"),
         ("seed", True, f"seed must be an integer in 0..{2**128 - 1}, got True"),

@@ -129,8 +129,9 @@ class TestPruning:
     def test_auto_insert_zero(self):
         ps = prune_dominated([(0.5, 3.0)], [(1.0, 1.0)])
         assert ps.retrain[0] == RetrainConfig(gain=0.0, cost=0.0)
-        with pytest.raises(ValueError):
-            prune_dominated([(0.5, 3.0)], [(1.0, 1.0)], auto_insert_zero=False)
+        # a caller who wants such a menu refused builds the ProfileSet directly
+        with pytest.raises(ValueError, match=r"^retraining menu must start with the \(gain 0, cost 0\) no-op entry$"):
+            ProfileSet(retrain=[(0.5, 3.0)], infer=[(1.0, 1.0)])
 
     def test_cost_tie_keeps_higher_payoff(self):
         ps = prune_dominated([(0.0, 0.0)], [(0.4, 2.0), (0.6, 2.0), (1.0, 5.0)])

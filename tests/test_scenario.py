@@ -188,11 +188,6 @@ class TestReplay:
         per_unit = (86.37 + 5.0 * 7.94) * 1e6
         assert max(cfg.cost for cfg in profiles.retrain) == pytest.approx(per_unit, rel=1e-12)
 
-    def test_epochs_per_slot(self):
-        profiles, _, _ = build_replay(ReplaySpec(corruption="fog", epochs_per_slot=2))
-        per_unit = (86.37 + 2 * 3.0 * 7.94) * 1e6
-        assert max(cfg.cost for cfg in profiles.retrain) == pytest.approx(per_unit, rel=1e-12)
-
     def test_ceiling_override(self):
         _, model, _ = build_replay(ReplaySpec(corruption="gaussian noise", f_at_max=0.9))
         assert model.f_at_max == pytest.approx(0.9, abs=1e-12)
@@ -216,8 +211,6 @@ class TestReplay:
             ReplaySpec(corruption="fog", sampling_ratios=(-0.1, 0.5))
         with pytest.raises(ValueError):
             ReplaySpec(corruption="fog", train_cost_multiplier=0.0)
-        with pytest.raises(ValueError):
-            ReplaySpec(corruption="fog", epochs_per_slot=0)
         with pytest.raises(ValueError):
             ReplaySpec(corruption="fog", horizon=0)
         with pytest.raises(ValueError):

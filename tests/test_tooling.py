@@ -5,6 +5,7 @@ a JSON object's keys and a CSV file's cells, are stated once."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -103,6 +104,17 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_names_every_flag():
+    # a flag is documented or it goes: each subcommand's options, help aside, appear in the README
+    readme = (ROOT / "README.md").read_text()
+    parser = cli.build_parser()
+    (subcommands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    missing = [f"{command} {flag}" for command, sub in subcommands.choices.items() for action in sub._actions
+               if not isinstance(action, argparse._HelpAction) for flag in action.option_strings
+               if flag.startswith("--") and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_per_slot_names_read_the_table(monkeypatch, worked_profiles, worked_model):

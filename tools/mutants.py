@@ -291,12 +291,26 @@ CATALOGUE = {
         "retrain_index=tuple(index[:, 1].tolist()),\n        infer_index=tuple(index[:, 0].tolist()),",
         ("tests/test_engine.py::TestRunCSV::test_index_columns_are_the_run_csv_columns",),
     ),
-    # a replay spec's sampling_ratios must be a JSON list, not any value that iterates
+    # a replay spec's sampling_ratios must be a list or a tuple, not any value that iterates
     "replay-spec-ratios-any-value": Mutant(
         "src/orric/scenario.py",
-        'json_list(spec["sampling_ratios"], "sampling_ratios")',
-        "pass",
+        'json_list(self.sampling_ratios, "sampling_ratios")',
+        "self.sampling_ratios",
         ("tests/test_boundaries.py::test_each_entry_point_refuses_with_its_rule",),
+    ),
+    # a degraded slot runs any pair but the top one: a short inference index counts as much as a short retraining one
+    "degraded-count-retraining-only": Mutant(
+        "src/orric/cli.py",
+        "pairs = list(zip(result.retrain_index, result.infer_index))",
+        "pairs = [(i, profiles.n) for i in result.retrain_index]",
+        ("tests/test_cli.py::TestRun::test_degraded_slot_count_reads_the_index_columns",),
+    ),
+    # the count is of the slots below the top pair, not of those on it
+    "degraded-count-top-slots": Mutant(
+        "src/orric/cli.py",
+        "trace.horizon - pairs.count((profiles.m, profiles.n))",
+        "pairs.count((profiles.m, profiles.n))",
+        ("tests/test_cli.py::TestRun::test_degraded_slot_count_reads_the_index_columns",),
     ),
     # a capacity field the law does not take must be refused, not silently ignored
     "law-takes-any-field": Mutant(
