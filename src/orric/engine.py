@@ -8,10 +8,10 @@ indices from the policy through the scorer, and its result holds the run
 CSV's per-slot columns. The scorer checks and scores a whole run with
 array expressions, and its running sums and the run CSV's go through one
 Kahan prefix sum.
-The offline oracle is exact: it prunes partial retraining sequences to
-the Pareto frontier of (volume-weighted gain so far, score so far), with
-greedy inference per slot once retraining is fixed, and it is the
-denominator for empirical performance ratios. What a run's policies, its
+The offline oracle is exact, and the denominator of every performance
+ratio: a loop over one frontier step, which extends each partial
+retraining sequence by a slot and keeps the Pareto frontier of
+(volume-weighted gain, score), then a traceback. What a run's policies, its
 oracle and its writers share is built once: a Trace caches its array
 view and its run-CSV columns, and keeps its fit table and orric's
 weight schedule with the menus and curve they were built from.
@@ -29,7 +29,7 @@ import numpy as np
 from .accuracy import _DOMAIN_TOL, AccuracyModel
 from .atomic import write_csv
 from .errors import InfeasibleError, finite_number, integer, read_csv, volume_bounds
-from .policies import ORRIC, fit_table, table_decisions, weight_schedule
+from .policies import ORRIC, fit_profit, fit_table, pair_rows, table_decisions, weight_schedule
 from .profiles import ProfileSet
 
 __all__ = [
@@ -268,12 +268,37 @@ def run_policy(
     return evaluate_objective(indices, trace, profiles, model)
 
 
+def _frontier_step(z: np.ndarray, score: np.ndarray, dz: np.ndarray, ds: np.ndarray):
+    """One slot of the oracle: extend each state by each retraining choice, keep the Pareto states.
+
+    z and score are the states' volume-weighted gains and scores, in prefix
+    order; dz[i] and ds[k, i] are what choice i adds to state k, -inf where
+    its pair does not fit, so that candidate sorts last and is dropped.
+    Candidate k * m + i extends state k by choice i. Returns the kept ids,
+    ascending (so in prefix order), with their z and score. To start from
+    a committed history, pass its z and score as the one state; to tag
+    states, read a kept id as divmod(id, m), the state it extends and its choice.
+    """
+    zc = (z[:, None] + dz).ravel()
+    sc = (score[:, None] + ds).ravel()
+    # z descending, then score descending; the stable sort keeps prefix order within ties
+    order = np.lexsort((-sc, -zc))
+    zs, ss = zc[order], sc[order]
+    # drop a state when one sorted before it (so with at least its z) scores
+    # strictly more, or when it repeats its predecessor's z: that earlier
+    # prefix scores at least as much
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
+    kept = np.sort(order[keep])
+    return kept, zc[kept], sc[kept]
+
+
 def offline_optimal(
     trace: Trace,
     profiles: ProfileSet,
     model: AccuracyModel,
 ) -> RunResult:
-    """Exact offline optimum by dynamic programming over Pareto-frontier states.
+    """Exact offline optimum: one frontier step per slot, then a traceback.
 
     For a fixed retraining sequence the objective is separable per slot
     and every slot coefficient is positive, so the most profitable
@@ -283,7 +308,8 @@ def offline_optimal(
     far; f is nondecreasing and every later slot's coefficient is
     nonnegative, so a state with no larger z and no larger score than
     another can be dropped without losing the optimum (dominance
-    pruning, as in the Nemhauser-Ullmann Pareto-set algorithm).
+    pruning, as in the Nemhauser-Ullmann Pareto-set algorithm), which
+    _frontier_step does once a slot.
 
     Ties are resolved toward the lexicographically lowest retraining
     sequence, which also means the lowest retraining cost: states are
@@ -300,48 +326,25 @@ def offline_optimal(
     jbest = _fit_table(trace, profiles)
     _check_domain(profiles, model)
     m, horizon = profiles.m, trace.horizon
-
-    menus = profiles.arrays
     d = trace.arrays.d
-    fits = jbest >= 0
-    slot_profit = np.where(fits, menus.profit[np.maximum(jbest, 0)], -np.inf)
-    # an unaffordable pair gets z = -inf: it sorts last and is never kept
-    dz = np.where(fits, d[:, None] * menus.gain, -np.inf)
+    slot_profit = fit_profit(jbest, profiles)
+    dz = np.where(jbest >= 0, d[:, None] * profiles.arrays.gain, -np.inf)
 
-    z = np.zeros(1)
-    score = np.zeros(1)
+    z = score = np.zeros(1)
     trail: list[np.ndarray] = []
-    peak = 1
-    expanded = 0
     for t in range(horizon):
-        x = z / trace.arrays.d_sum[t - 1] if t else z
-        fx = model.eval_clipped(x)
-        # candidate k * m + i extends state k by retraining choice i, so
-        # candidates are in prefix order when the states are
-        zc = (z[:, None] + dz[t]).ravel()
-        sc = (score[:, None] + fx[:, None] * slot_profit[t] * d[t]).ravel()
-        expanded += zc.size
-        # z descending, then score descending; the stable sort keeps prefix order within ties
-        order = np.lexsort((-sc, -zc))
-        zs, ss = zc[order], sc[order]
-        # drop a state when one sorted before it (so with at least its z) scores
-        # strictly more, or when it repeats its predecessor's z: that earlier
-        # prefix scores at least as much
-        keep = np.empty(order.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1]) & (zs[1:] != zs[:-1])
-        kept = np.sort(order[keep])
-        z, score = zc[kept], sc[kept]
+        fx = model.eval_clipped(z / trace.arrays.d_sum[t - 1] if t else z)
+        kept, z, score = _frontier_step(z, score, dz[t], fx[:, None] * slot_profit[t] * d[t])
         trail.append(kept)
-        peak = max(peak, kept.size)
+    sizes = [kept.size for kept in trail]
 
     k = int(np.argmax(score))
     choice = np.empty(horizon, dtype=int)
     for t in range(horizon - 1, -1, -1):
         k, choice[t] = divmod(int(trail[t][k]), m)
-    indices = np.column_stack((choice, jbest[np.arange(horizon), choice])) + 1
-    result = evaluate_objective(indices, trace, profiles, model)
-    result.meta.update(enumerated_sequences=m**horizon, frontier_peak=peak, states_expanded=expanded)
+    result = evaluate_objective(pair_rows(jbest, choice), trace, profiles, model)
+    result.meta.update(enumerated_sequences=m**horizon, frontier_peak=max(sizes),
+                       states_expanded=m * (1 + sum(sizes[:-1])))
     return result
 
 

@@ -1,17 +1,17 @@
 """Decision rules for splitting compute between retraining and inference.
 
 A pair of menu entries (i, j) fits slot t when d_t * (c_i + c_j) <= C_t;
-fit_table states that test once, for every slot and retraining entry,
-and every policy, the oracle and the feasibility check read their
-choices off it for all slots at once. The scheduled rule (orric) prices
-retraining gain and inference profit with the weight_schedule arrays and
-takes the fitting pair with the largest weighted sum. The four
-heuristics cover the natural fixed strategies: spend everything on
-inference, top up retraining with leftovers, put retraining first, or
-shift the budget split from retraining toward inference as the horizon
-runs out. The per-slot names (compute_weights, orric_step,
-heuristic_step) are one-slot views of weight_schedule and the table
-rule, so they answer with the code a run uses.
+fit_table states that test once, for every slot and retraining entry.
+The policies, the oracle and the feasibility check read it for all slots
+at once; pair_rows gives a choice its pair and fit_profit its profit.
+The scheduled rule (orric) prices retraining gain and inference profit
+with the weight_schedule arrays and takes the fitting pair with the
+largest weighted sum. The four heuristics cover the natural fixed
+strategies: spend everything on inference, top up retraining with
+leftovers, put retraining first, or shift the budget split from
+retraining toward inference as the horizon runs out. The per-slot names
+(compute_weights, orric_step, heuristic_step) are one-slot views of
+weight_schedule and the table rule, so they answer with the code a run uses.
 """
 
 from __future__ import annotations
@@ -119,6 +119,16 @@ def fit_table(volumes, capacities, profiles: ProfileSet) -> np.ndarray:
     return jbest
 
 
+def fit_profit(jbest: np.ndarray, profiles: ProfileSet) -> np.ndarray:
+    """The fit-profit table: the inference profit of entry jbest[t, i], or -inf where row t's choice i fits no pair."""
+    return np.where(jbest >= 0, profiles.arrays.profit[np.maximum(jbest, 0)], -np.inf)
+
+
+def pair_rows(jbest: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The pair rule: row r's choice i[r] takes inference entry jbest[r, i[r]]; the (rows, 2) 1-based pairs."""
+    return np.column_stack((i, jbest[np.arange(len(jbest)), i])) + 1
+
+
 def table_decisions(
     policy: str,
     jbest: np.ndarray,
@@ -132,16 +142,16 @@ def table_decisions(
 
     t holds the rows' 1-based slot numbers, u their per-sample budgets
     C_t / d_t and schedule (orric only) their weight_schedule arrays.
-    Each rule picks a retraining index i and pairs it with jbest[row, i],
-    the most profitable inference entry that still fits. Returns one
+    Each rule picks a retraining index i, and pair_rows pairs it with
+    jbest[row, i], the most profitable inference entry that fits. Returns one
     (i, j) row of 1-based indices per fit-table row, the (rows, 2)
     integer array that evaluate_objective scores.
     """
     if policy == ORRIC:
         v, w, _ = schedule
-        menus = profiles.arrays
-        value = v[:, None] * menus.gain + w[:, None] * menus.profit[np.maximum(jbest, 0)]
-        value[jbest < 0] = -np.inf
+        profit = fit_profit(jbest, profiles)
+        # w is 0 in slot 1 when g_at_max rounds to 0, and 0 * -inf is NaN: a pair that does not fit keeps its -inf
+        value = np.multiply(w[:, None], profit, out=profit, where=profit > -np.inf) + v[:, None] * profiles.arrays.gain
         # argmax keeps the first maximizer: ties go to the lowest retraining index
         i = np.argmax(value, axis=1)
     elif policy == INFERENCE_ONLY:
@@ -161,8 +171,7 @@ def table_decisions(
         i = np.maximum(np.count_nonzero((jbest >= 0) & (rc <= share[:, None]), axis=1) - 1, 0)
     else:
         raise ValueError(f"unknown policy {policy!r}; known: {list(POLICIES)}")
-    j = jbest[np.arange(len(jbest)), i]
-    return np.column_stack((i, j)) + 1
+    return pair_rows(jbest, i)
 
 
 def _one_slot(policy: str, t: int, horizon: int, u: float, profiles: ProfileSet, schedule=None) -> tuple[int, int]:

@@ -151,6 +151,20 @@ def random_feasible_trace(
     return Trace(d=tuple(d), c=tuple(c), d_min=1.0, d_max=10.0)
 
 
+def halving_instance(horizon: int) -> tuple[Trace, ProfileSet, AccuracyModel]:
+    """The halving-volume family: the oracle keeps about half of the 2^t retraining sequences after slot t.
+
+    Slot t holds volume 2^-(t-1) at capacity twice that. At that
+    per-sample budget of 2 a slot runs either retraining (gain 1, cost 1)
+    with the cheap inference entry (profit 0.5, cost 1), or no retraining
+    with the top one (profit 1, cost 2); the curve is 0.5 + 0.3 x.
+    """
+    d = tuple(2.0 ** -t for t in range(horizon))
+    trace = Trace(d=d, c=tuple(2.0 * x for x in d), d_min=d[-1], d_max=1.0)
+    profiles = ProfileSet(retrain=[(0.0, 0.0), (1.0, 1.0)], infer=[(0.5, 1.0), (1.0, 2.0)])
+    return trace, profiles, make_model("linear", {"intercept": 0.5, "slope": 0.3}, 1.0)
+
+
 def decision_pairs(result: RunResult) -> tuple[tuple[int, int], ...]:
     """A result's decisions as (retrain, infer) pairs, slot by slot."""
     return tuple(zip(result.retrain_index, result.infer_index))

@@ -48,6 +48,7 @@ from conftest import (
     curve_spy,
     decision_pairs,
     enumerate_optimal,
+    halving_instance,
     naive_optimal_total,
     random_feasible_trace,
     random_model,
@@ -368,6 +369,16 @@ class TestOfflineOptimal:
             widest = [min(ps.m**t, meta["frontier_peak"]) for t in range(horizon)]
             assert ps.m * horizon <= meta["states_expanded"] <= ps.m * sum(widest)
 
+    @pytest.mark.parametrize("horizon, peak, expanded", [(8, 130, 276), (12, 2016, 4090), (16, 32041, 64296)])
+    def test_halving_volume_frontier(self, horizon, peak, expanded):
+        # the frontier about doubles each slot, and the oracle still picks enumeration's sequence
+        trace, ps, model = halving_instance(horizon)
+        oracle = offline_optimal(trace, ps, model)
+        assert (oracle.meta["frontier_peak"], oracle.meta["states_expanded"]) == (peak, expanded)
+        reference = enumerate_optimal(trace, ps, model)
+        assert decision_pairs(oracle) == decision_pairs(reference)
+        assert oracle.total == reference.total
+
     def test_oracle_dominates_policies(self):
         rng = np.random.default_rng(41)
         for _ in range(15):
@@ -388,6 +399,43 @@ def solve(trace, profiles, model) -> list:
     return [run_policy(policy, trace, profiles, model) for policy in POLICIES] + [
         offline_optimal(trace, profiles, model)
     ]
+
+
+def scaled(trace: Trace, ps: ProfileSet, volume: float, capacity: float, profit: float, cost: float):
+    """The instance with its volumes and declared bounds, capacities, inference profits and costs multiplied."""
+    return (
+        Trace(d=tuple(volume * x for x in trace.d), c=tuple(capacity * x for x in trace.c),
+              d_min=volume * trace.d_min, d_max=volume * trace.d_max),
+        ProfileSet(retrain=[(e.gain, cost * e.cost) for e in ps.retrain],
+                   infer=[(profit * e.profit, cost * e.cost) for e in ps.infer]),
+    )
+
+
+class TestMetamorphic:
+    """Power-of-two scalings that keep every decision and move each total exactly, for every policy and the oracle.
+
+    They need no reference, so they also catch a fault that the oracle and enumeration would share.
+    """
+
+    # (volume and bound, capacity, inference profit, cost) factors, and the factor each total moves by
+    RELATIONS = {
+        "volumes-and-capacities": ((4.0, 4.0, 1.0, 1.0), 4.0),
+        "profits": ((1.0, 1.0, 4.0, 1.0), 4.0),
+        "costs-and-capacities": ((1.0, 4.0, 1.0, 4.0), 1.0),
+    }
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_scaling(self, relation):
+        factors, moves = self.RELATIONS[relation]
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            ps = random_profileset(rng, min_m=2, min_n=2)
+            model = random_model(rng, 1.0)
+            trace = random_feasible_trace(rng, ps, int(rng.integers(5, 40)))
+            other = scaled(trace, ps, *factors)
+            for before, after in zip(solve(trace, ps, model), solve(*other, model)):
+                assert decision_pairs(after) == decision_pairs(before)
+                assert after.total == moves * before.total
 
 
 class TestSharedPlan:

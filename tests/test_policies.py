@@ -248,6 +248,15 @@ class TestOrricStep:
         assert v * 1.0 + w * 0.5 == v * 0.0 + w * 1.0 == 1.0
         assert orric_step(v, w, u, ps) == (1, 2)
 
+    def test_zero_first_slot_price_keeps_unfitting_pairs_out(self, worked_profiles):
+        # g_at_max rounds to 0 when f(0) is tiny, so slot 1 prices inference at w = 0, and 0 * -inf
+        # is NaN: a pair that does not fit must still score -inf
+        curve = make_model("linear", {"intercept": 1e-20, "slope": 1.0}, 1.0)
+        assert curve.g_at_max == 0.0
+        # a budget of 5 affords no retraining (cost 10), so each slot runs the top inference entry alone
+        trace = Trace(d=(1.0, 1.0), c=(5.0, 5.0), d_min=1.0, d_max=1.0)
+        assert decision_pairs(run_policy(ORRIC, trace, worked_profiles, curve)) == ((1, 2), (1, 2))
+
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(17)
         for _ in range(500):

@@ -15,6 +15,8 @@ import shlex
 import types
 from pathlib import Path
 
+import pytest
+
 import orric
 import orric.cli as cli
 import orric.engine as engine
@@ -263,3 +265,14 @@ def test_file_field_rules_are_stated_once():
     for path in sorted(errors.parent.glob("*.py")):
         if path != errors:
             assert not file_field_sites(path), path.name
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject's floor and CI's oldest job are 3.10; this checks the grammar only, not 3.10's run-time behaviour
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    folders = ("src", "tests", "tools", "demos", "benchmarks")
+    paths = [path for folder in folders for path in (ROOT / folder).rglob("*.py")]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -329,6 +329,76 @@ CATALOGUE = {
             "tests/test_cli.py::test_outside_number_refused",
         ),
     ),
+    # a state whose score ties the best of those with more z stays: it may be the lower prefix, which ties go to
+    "oracle-sweep-strict": Mutant(
+        "src/orric/engine.py",
+        "keep[1:] = (ss[1:] >= np.maximum.accumulate(ss)[:-1])",
+        "keep[1:] = (ss[1:] > np.maximum.accumulate(ss)[:-1])",
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_tie_breaks_to_cheapest_sequence",
+            "tests/test_engine.py::TestOfflineOptimal::test_repeated_states_collapse",
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_ties",
+        ),
+    ),
+    # among equal z the higher score must sort first, or the repeat test drops the better state
+    "oracle-sort-z-only": Mutant(
+        "src/orric/engine.py",
+        "order = np.lexsort((-sc, -zc))",
+        'order = np.argsort(-zc, kind="stable")',
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_ties",
+            "tests/test_engine.py::TestBudgetBoundary::test_two_slot_instance",
+        ),
+    ),
+    # the sweep runs down z, so z is the primary sort key and score the secondary one
+    "oracle-lexsort-keys-swapped": Mutant(
+        "src/orric/engine.py",
+        "order = np.lexsort((-sc, -zc))",
+        "order = np.lexsort((-zc, -sc))",
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_worked_instance",
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_random_instances",
+            "tests/test_acceptance.py::test_criterion_06_oracle_equals_naive_enumeration",
+        ),
+    ),
+    # ties among the last states go to the first, the lowest retraining sequence
+    "oracle-traceback-last-maximum": Mutant(
+        "src/orric/engine.py",
+        "k = int(np.argmax(score))",
+        "k = score.size - 1 - int(np.argmax(score[::-1]))",
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_tie_breaks_to_cheapest_sequence",
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_ties",
+        ),
+    ),
+    # the kept states go back into prefix order, which the next slot's stable sort breaks ties by
+    "oracle-kept-unsorted": Mutant(
+        "src/orric/engine.py",
+        "kept = np.sort(order[keep])",
+        "kept = order[keep]",
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_ties",
+            "tests/test_engine.py::TestOfflineOptimal::test_repeated_states_collapse",
+        ),
+    ),
+    # a state that repeats its predecessor's z is dropped, even when it ties its score
+    "oracle-repeats-kept": Mutant(
+        "src/orric/engine.py",
+        " & (zs[1:] != zs[:-1])",
+        "",
+        ("tests/test_engine.py::TestOfflineOptimal::test_repeated_states_collapse",),
+    ),
+    # the traceback writes slot t's own choice
+    "oracle-traceback-slot-off": Mutant(
+        "src/orric/engine.py",
+        "k, choice[t] = divmod(",
+        "k, choice[t - 1] = divmod(",
+        (
+            "tests/test_engine.py::TestOfflineOptimal::test_worked_instance",
+            "tests/test_engine.py::TestOfflineOptimal::test_matches_enumeration_on_random_instances",
+            "tests/test_acceptance.py::test_criterion_06_oracle_equals_naive_enumeration",
+        ),
+    ),
 }
 
 
